@@ -93,11 +93,11 @@ void run() {
       const Buffer file =
           random_buffer(bench::file_bytes_for_block(code, block_bytes), rng);
       std::vector<Buffer> blocks =
-          code.engine().encode_parallel(file, pool_threads);  // warm-up
+          code.engine().encode(file, pool_threads);  // warm-up
       Stats enc_pool, dec_pool;
       for (size_t rep = 0; rep < n_reps; ++rep)
         enc_pool.add(bench::timed([&] {
-          blocks = code.engine().encode_parallel(file, pool_threads);
+          blocks = code.engine().encode(file, pool_threads);
         }));
       std::vector<size_t> ids;
       for (size_t b = 1; b <= k; ++b) ids.push_back(b);
@@ -105,7 +105,7 @@ void run() {
       for (size_t rep = 0; rep < n_reps; ++rep) {
         std::optional<Buffer> out;
         dec_pool.add(bench::timed(
-            [&] { out = code.engine().decode_parallel(view, pool_threads); }));
+            [&] { out = code.engine().decode(view, pool_threads); }));
         if (!out || *out != file) {
           std::fprintf(stderr, "POOL DECODE MISMATCH k=%zu\n", k);
           std::exit(1);

@@ -97,8 +97,7 @@ void run() {
       for (size_t rep = 0; rep < n_reps; ++rep) {
         std::optional<Buffer> out;
         t.add(bench::timed([&] {
-          out = gal.engine().repair_block_parallel(failed, view,
-                                                   pool_threads);
+          out = gal.engine().repair_block(failed, view, pool_threads);
         }));
         if (!out || *out != blocks_by_code[2][failed]) {
           std::fprintf(stderr, "POOL REPAIR MISMATCH block %zu\n", failed);

@@ -4,13 +4,13 @@
 // logically independent stripes with the SAME erasure pattern. Calling the
 // per-stripe data paths once per stripe pays the fixed per-call costs —
 // plan lookup, output allocation, span setup, kernel dispatch — per stripe,
-// and at 1 KiB chunks those costs rival the byte work itself. The batched
-// forms run ONE compiled plan over B stripes interleaved position-major,
-// so every fused kernel call covers B·chunk contiguous bytes and the fixed
-// costs amortize over the batch. This bench times B per-stripe calls vs
-// one *_batch call on the interleaved data for encode / decode_fast /
-// repair, verifies bit-identity by deinterleaving, and reports the
-// speedup.
+// and at 1 KiB chunks those costs rival the byte work itself. Passing B
+// stripes interleaved position-major to the same entry runs ONE compiled
+// plan, so every fused kernel call covers B·chunk contiguous bytes and the
+// fixed costs amortize over the batch. This bench times B per-stripe calls vs
+// one call on the interleaved data (a codeword with chunk B·c) for encode /
+// decode / decode_fast / repair, verifies bit-identity by deinterleaving,
+// and reports the speedup.
 //
 //   GALLOPER_BENCH_MB    ≈ MiB of file data per measurement (default 16)
 //   GALLOPER_BENCH_REPS  timing rounds, best-of (default 3)
@@ -36,7 +36,7 @@ struct Cell {
   size_t batch = 0;
   size_t bytes_per_call = 0;  // file bytes coded per (batched) call
   double per_stripe_s = 0;    // one call = batch per-stripe calls
-  double batched_s = 0;       // one call = one *_batch call
+  double batched_s = 0;       // one call on the interleaved batch
   bool identical = false;
 
   double speedup() const { return per_stripe_s / batched_s; }
@@ -118,7 +118,7 @@ int main() {
       {
         Cell c{"encode", chunk, batch, per_call};
         // Identity check doubles as the warmup for both variants.
-        const auto got = e.encode_batch(batched_file, batch);
+        const auto got = e.encode(batched_file);
         c.identical = true;
         for (size_t b = 0; b < got.size(); ++b) {
           const auto parts = deinterleave_stripes(got[b], batch, chunk);
@@ -134,14 +134,14 @@ int main() {
           sink.clear();
           for (const Buffer& f : files) sink.push_back(e.encode(f));
         });
-        c.batched_s = best_of(rounds, calls,
-                              [&] { (void)e.encode_batch(batched_file, batch); });
+        c.batched_s =
+            best_of(rounds, calls, [&] { (void)e.encode(batched_file); });
         cells.push_back(std::move(c));
       }
       // -- decode (full: every chunk solved as a combination) -------------
       {
         Cell c{"decode", chunk, batch, per_call};
-        const auto got = *e.decode_batch(bdview, batch);
+        const auto got = *e.decode(bdview);
         const auto parts = deinterleave_stripes(got, batch, chunk);
         c.identical = true;
         for (size_t i = 0; i < batch; ++i) c.identical &= parts[i] == files[i];
@@ -150,14 +150,13 @@ int main() {
           sink.clear();
           for (const auto& v : dviews) sink.push_back(*e.decode(v));
         });
-        c.batched_s = best_of(rounds, calls,
-                              [&] { (void)*e.decode_batch(bdview, batch); });
+        c.batched_s = best_of(rounds, calls, [&] { (void)*e.decode(bdview); });
         cells.push_back(std::move(c));
       }
       // -- decode_fast ----------------------------------------------------
       {
         Cell c{"decode_fast", chunk, batch, per_call};
-        const auto got = *e.decode_fast_batch(bdview, batch);
+        const auto got = *e.decode_fast(bdview);
         const auto parts = deinterleave_stripes(got, batch, chunk);
         c.identical = true;
         for (size_t i = 0; i < batch; ++i) c.identical &= parts[i] == files[i];
@@ -166,15 +165,14 @@ int main() {
           sink.clear();
           for (const auto& v : dviews) sink.push_back(*e.decode_fast(v));
         });
-        c.batched_s = best_of(rounds, calls, [&] {
-          (void)*e.decode_fast_batch(bdview, batch);
-        });
+        c.batched_s =
+            best_of(rounds, calls, [&] { (void)*e.decode_fast(bdview); });
         cells.push_back(std::move(c));
       }
       // -- repair ---------------------------------------------------------
       {
         Cell c{"repair", chunk, batch, per_call};
-        const auto got = *e.repair_block_batch(0, bhview, batch);
+        const auto got = *e.repair_block(0, bhview);
         const auto parts = deinterleave_stripes(got, batch, chunk);
         c.identical = true;
         for (size_t i = 0; i < batch; ++i)
@@ -184,9 +182,8 @@ int main() {
           sink.clear();
           for (const auto& v : hviews) sink.push_back(*e.repair_block(0, v));
         });
-        c.batched_s = best_of(rounds, calls, [&] {
-          (void)*e.repair_block_batch(0, bhview, batch);
-        });
+        c.batched_s =
+            best_of(rounds, calls, [&] { (void)*e.repair_block(0, bhview); });
         cells.push_back(std::move(c));
       }
     }

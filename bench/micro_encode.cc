@@ -43,7 +43,7 @@ void BM_EncodeParallel(benchmark::State& state) {
   const Buffer file = test_file(512 << 10);
   const size_t threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    auto blocks = code().engine().encode_parallel(file, threads);
+    auto blocks = code().engine().encode(file, threads);
     benchmark::DoNotOptimize(blocks);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -58,7 +58,7 @@ void BM_DecodeParallel(benchmark::State& state) {
   for (size_t b = 1; b < blocks.size(); ++b) view.emplace(b, blocks[b]);
   const size_t threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    auto out = code().engine().decode_parallel(view, threads);
+    auto out = code().engine().decode(view, threads);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -73,7 +73,7 @@ void BM_RepairParallel(benchmark::State& state) {
   for (size_t h : code().repair_helpers(0)) helpers.emplace(h, blocks[h]);
   const size_t threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    auto out = code().engine().repair_block_parallel(0, helpers, threads);
+    auto out = code().engine().repair_block(0, helpers, threads);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -167,10 +167,10 @@ int run_json_sweep(const char* path) {
     for (size_t threads : thread_grid) {
       // Identity check: every thread count must reproduce the serial
       // bytes exactly (the GF kernels are bytewise; see engine.h).
-      const bool encode_ok = engine.encode_parallel(file, threads) == blocks;
-      const auto dec = engine.decode_parallel(degraded, threads);
+      const bool encode_ok = engine.encode(file, threads) == blocks;
+      const auto dec = engine.decode(degraded, threads);
       const bool decode_ok = dec.has_value() && *dec == file;
-      const auto rep = engine.repair_block_parallel(0, helpers, threads);
+      const auto rep = engine.repair_block(0, helpers, threads);
       const bool repair_ok = rep.has_value() && *rep == blocks[0];
       struct Cell {
         const char* path;
@@ -180,17 +180,16 @@ int run_json_sweep(const char* path) {
       };
       const Cell cells[] = {
           {"encode", best_seconds([&] {
-             benchmark::DoNotOptimize(engine.encode_parallel(file, threads));
+             benchmark::DoNotOptimize(engine.encode(file, threads));
            }),
            file.size(), encode_ok},
           {"decode", best_seconds([&] {
-             benchmark::DoNotOptimize(
-                 engine.decode_parallel(degraded, threads));
+             benchmark::DoNotOptimize(engine.decode(degraded, threads));
            }),
            file.size(), decode_ok},
           {"repair", best_seconds([&] {
              benchmark::DoNotOptimize(
-                 engine.repair_block_parallel(0, helpers, threads));
+                 engine.repair_block(0, helpers, threads));
            }),
            blocks[0].size(), repair_ok},
       };

@@ -4,10 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <exception>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -149,11 +151,46 @@ uint32_t file_crc32c(const fs::path& path) {
   return crc32c_finish(state);
 }
 
-Rational parse_rational(const std::string& s) {
+// Manifest numbers are whole tokens: "4x", "-1", "" and out-of-range values
+// are errors naming the offending line, never a silent prefix or wrap.
+// Decimal fields (counts, sizes, weight terms) are non-negative and stay
+// within int64, so geometry products can go through util/rational's
+// checked ops.
+template <typename T>
+T parse_number(const std::string& token, const std::string& line, int base,
+               T max) {
+  T v{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v, base);
+  GALLOPER_CHECK_MSG(!token.empty() && ec == std::errc() && ptr == end &&
+                         v <= max,
+                     "manifest line \"" << line << "\": bad number \""
+                                         << token << "\"");
+  return v;
+}
+
+int64_t parse_decimal(const std::string& token, const std::string& line) {
+  return static_cast<int64_t>(parse_number<uint64_t>(
+      token, line, 10, std::numeric_limits<int64_t>::max()));
+}
+
+Rational parse_rational(const std::string& s, const std::string& line) {
   const size_t slash = s.find('/');
-  if (slash == std::string::npos) return Rational(std::stoll(s));
-  return Rational(std::stoll(s.substr(0, slash)),
-                  std::stoll(s.substr(slash + 1)));
+  if (slash == std::string::npos) return Rational(parse_decimal(s, line));
+  return Rational(parse_decimal(s.substr(0, slash), line),
+                  parse_decimal(s.substr(slash + 1), line));
+}
+
+// Comma-separated list, one parsed entry per token.
+template <typename Fn>
+void parse_list(const std::string& value, Fn&& parse_token) {
+  size_t start = 0;
+  while (start < value.size()) {
+    size_t comma = value.find(',', start);
+    if (comma == std::string::npos) comma = value.size();
+    parse_token(value.substr(start, comma - start));
+    start = comma + 1;
+  }
 }
 
 // ---- Pipeline stages ------------------------------------------------------
@@ -196,6 +233,8 @@ Manifest Manifest::parse(const std::string& text) {
   std::string line;
   bool format_seen = false;
   bool v2 = false;
+  // Raw lines of the fields the cross-field checks below name.
+  std::string weights_line, crcs_line, original_line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const size_t eq = line.find('=');
@@ -210,34 +249,29 @@ Manifest Manifest::parse(const std::string& text) {
       v2 = value == "galloper-archive-v2";
       format_seen = true;
     } else if (key == "k") {
-      m.k = std::stoull(value);
+      m.k = parse_decimal(value, line);
     } else if (key == "l") {
-      m.l = std::stoull(value);
+      m.l = parse_decimal(value, line);
     } else if (key == "g") {
-      m.g = std::stoull(value);
+      m.g = parse_decimal(value, line);
     } else if (key == "weights") {
-      size_t start = 0;
-      while (start < value.size()) {
-        size_t comma = value.find(',', start);
-        if (comma == std::string::npos) comma = value.size();
-        m.weights.push_back(parse_rational(value.substr(start, comma - start)));
-        start = comma + 1;
-      }
+      weights_line = line;
+      parse_list(value, [&](const std::string& t) {
+        m.weights.push_back(parse_rational(t, line));
+      });
     } else if (key == "block_bytes") {
-      m.block_bytes = std::stoull(value);
+      m.block_bytes = parse_decimal(value, line);
     } else if (key == "original_bytes") {
-      m.original_bytes = std::stoull(value);
+      original_line = line;
+      m.original_bytes = parse_decimal(value, line);
     } else if (key == "chunk_bytes") {
-      m.chunk_bytes = std::stoull(value);
+      m.chunk_bytes = parse_decimal(value, line);
     } else if (key == "block_crcs") {
-      size_t start = 0;
-      while (start < value.size()) {
-        size_t comma = value.find(',', start);
-        if (comma == std::string::npos) comma = value.size();
-        m.block_crcs.push_back(static_cast<uint32_t>(
-            std::stoul(value.substr(start, comma - start), nullptr, 16)));
-        start = comma + 1;
-      }
+      crcs_line = line;
+      parse_list(value, [&](const std::string& t) {
+        m.block_crcs.push_back(parse_number<uint32_t>(
+            t, line, 16, std::numeric_limits<uint32_t>::max()));
+      });
     } else {
       // Unknown keys are ignored for forward compatibility.
     }
@@ -247,6 +281,37 @@ Manifest Manifest::parse(const std::string& text) {
                      "manifest incomplete");
   GALLOPER_CHECK_MSG(v2 == (m.chunk_bytes > 0),
                      "manifest format/chunk_bytes mismatch");
+
+  const auto k = static_cast<int64_t>(m.k);
+  const auto n = static_cast<size_t>(checked_add64(
+      checked_add64(k, static_cast<int64_t>(m.l)), static_cast<int64_t>(m.g)));
+  GALLOPER_CHECK_MSG(m.weights.size() == n,
+                     "manifest line \"" << weights_line << "\": "
+                                         << m.weights.size()
+                                         << " weights for k+l+g = " << n
+                                         << " blocks");
+  GALLOPER_CHECK_MSG(m.block_crcs.empty() || m.block_crcs.size() == n,
+                     "manifest line \"" << crcs_line << "\": "
+                                         << m.block_crcs.size()
+                                         << " CRCs for k+l+g = " << n
+                                         << " blocks");
+  // Capacity from the segment geometry: every segment is one codeword whose
+  // piece of p bytes per block holds N stripes of p/N bytes, and its k·N
+  // data chunks (the weights sum to k) carry k·p file bytes. Summed over the
+  // segments that is k·block_bytes, whatever N and the segment split are.
+  const Rational total = sum(m.weights);
+  GALLOPER_CHECK_MSG(total == Rational(k),
+                     "manifest line \"" << weights_line
+                                         << "\": weights sum to "
+                                         << total.to_string() << ", not k = "
+                                         << k);
+  const int64_t capacity =
+      checked_mul64(k, static_cast<int64_t>(m.block_bytes));
+  GALLOPER_CHECK_MSG(m.original_bytes <= static_cast<size_t>(capacity),
+                     "manifest line \"" << original_line
+                                         << "\": exceeds the archive's data "
+                                            "capacity of "
+                                         << capacity << " bytes");
   return m;
 }
 
@@ -409,7 +474,7 @@ Manifest encode_archive(const fs::path& input, const fs::path& dir, size_t k,
     try {
       while (auto item = in_q.pop()) {
         maybe_crash("archive.encode.codec");
-        auto blocks = engine.encode_parallel(item->data, threads);
+        auto blocks = engine.encode(item->data, threads);
         if (!out_q.push({item->index, std::move(blocks)})) break;
       }
     } catch (...) {
@@ -548,7 +613,7 @@ bool decode_archive_stream(const fs::path& dir, size_t threads,
       std::map<size_t, ConstByteSpan> view;
       for (size_t i = 0; i < ids.size(); ++i)
         view.emplace(ids[i], item->pieces[i]);
-      auto decoded = engine.decode_parallel(view, threads);
+      auto decoded = engine.decode(view, threads);
       GALLOPER_CHECK(decoded.has_value());  // solvability gated above
       if (seg.file_offset >= m.original_bytes) continue;  // pure padding
       decoded->resize(
@@ -897,8 +962,8 @@ std::vector<size_t> update_archive(const fs::path& dir, size_t offset,
         std::copy(chunk_data.begin(), chunk_data.end(), padded.begin());
         chunk_data = padded;
       }
-      const auto t = engine.update_chunk_parallel(pieces, first_chunk + c,
-                                                  chunk_data, threads);
+      const auto t =
+          engine.update_chunk(pieces, first_chunk + c, chunk_data, threads);
       seg_touched.insert(seg_touched.end(), t.begin(), t.end());
     }
     std::sort(seg_touched.begin(), seg_touched.end());

@@ -64,6 +64,10 @@ void for_rows_sliced(size_t rows, size_t chunk, size_t threads,
                    });
 }
 
+void require_threads(size_t threads) {
+  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
+}
+
 // Base-pointer table for a pattern plan: one entry per source block, in
 // source_blocks() order. The only per-call setup execution needs.
 std::vector<const uint8_t*> bases_of(
@@ -345,8 +349,9 @@ std::shared_ptr<const CodecPlan> CodecEngine::plan_repair(
 
 // ---- Encode ---------------------------------------------------------------
 
-std::vector<Buffer> CodecEngine::encode_impl(ConstByteSpan file,
-                                             size_t threads) const {
+std::vector<Buffer> CodecEngine::encode(ConstByteSpan file,
+                                        size_t threads) const {
+  require_threads(threads);
   GALLOPER_CHECK_MSG(!file.empty() && file.size() % num_chunks() == 0,
                      "file size " << file.size()
                                   << " must be a positive multiple of "
@@ -369,92 +374,35 @@ std::vector<Buffer> CodecEngine::encode_impl(ConstByteSpan file,
   return blocks;
 }
 
-std::vector<Buffer> CodecEngine::encode(ConstByteSpan file) const {
-  return encode_impl(file, 1);
-}
+// ---- Pattern ops: decode, decode_fast, repair -----------------------------
 
-std::vector<Buffer> CodecEngine::encode_parallel(ConstByteSpan file,
-                                                 size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return encode_impl(file, threads);
-}
-
-// ---- Decode ---------------------------------------------------------------
-
-std::optional<Buffer> CodecEngine::decode_impl(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const {
+std::optional<Buffer> CodecEngine::run_pattern(
+    PlanOp op, size_t failed, const std::map<size_t, ConstByteSpan>& blocks,
+    size_t threads, const CodecPlan* pinned) const {
+  require_threads(threads);
   if (blocks.empty()) return std::nullopt;
   size_t chunk = 0;
   const std::vector<size_t> ids = validate_blocks(blocks, &chunk);
+  std::shared_ptr<const CodecPlan> owned;
+  if (pinned == nullptr) owned = pattern_plan(op, ids, failed);
+  const CodecPlan& plan = pinned != nullptr ? *pinned : *owned;
 
-  const auto plan = pattern_plan(PlanOp::kDecode, ids, SIZE_MAX);
-  if (!plan->fully_solvable()) return std::nullopt;
-
-  const auto bases = bases_of(*plan, blocks);
-  Buffer file(num_chunks() * chunk);  // every row written below
-  const ExecTimer timer(PlanOp::kDecode);
-  plan->execute_batch(bases.data(), chunk, threads,
-                      [&](const CodecPlan::Row& row) {
-                        return file.data() + row.out * chunk;
-                      });
-  return file;
-}
-
-std::optional<Buffer> CodecEngine::decode(
-    const std::map<size_t, ConstByteSpan>& blocks) const {
-  return decode_impl(blocks, 1);
-}
-
-std::optional<Buffer> CodecEngine::decode_parallel(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return decode_impl(blocks, threads);
-}
-
-std::optional<Buffer> CodecEngine::decode_fast_impl(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const {
-  if (blocks.empty()) return std::nullopt;
-  size_t chunk = 0;
-  const std::vector<size_t> ids = validate_blocks(blocks, &chunk);
-
+  // Output rows: the file's chunks for the decode ops, the failed block's
+  // stripes for repair. A plan of another op would write past the buffer.
+  const size_t rows = op == PlanOp::kRepair ? stripes_per_block_
+                                            : num_chunks();
+  GALLOPER_CHECK_MSG(plan.num_rows() == rows,
+                     "plan has " << plan.num_rows() << " rows, "
+                                 << plan_op_name(op) << " writes " << rows);
   // The plan resolves solvability BEFORE the (uninitialized) output is
-  // touched, so an undecodable set returns nullopt without wasted copying.
-  const auto plan = pattern_plan(PlanOp::kDecodeFast, ids, SIZE_MAX);
-  if (!plan->fully_solvable()) return std::nullopt;
-
-  // One pass over all chunks: verbatim copies (which dominate — the copy
-  // path is memory-bandwidth-bound and still gains on multi-socket parts)
-  // and solved combinations execute in the same row fan-out.
-  const auto bases = bases_of(*plan, blocks);
-  Buffer file(num_chunks() * chunk);
-  const ExecTimer timer(PlanOp::kDecodeFast);
-  plan->execute_batch(bases.data(), chunk, threads,
-                      [&](const CodecPlan::Row& row) {
-                        return file.data() + row.out * chunk;
-                      });
-  return file;
-}
-
-std::optional<Buffer> CodecEngine::decode_fast(
-    const std::map<size_t, ConstByteSpan>& blocks) const {
-  return decode_fast_impl(blocks, 1);
-}
-
-std::optional<Buffer> CodecEngine::decode_fast_parallel(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return decode_fast_impl(blocks, threads);
-}
-
-// ---- Repair ---------------------------------------------------------------
-
-std::optional<Buffer> CodecEngine::repair_execute(
-    const CodecPlan& plan, const std::map<size_t, ConstByteSpan>& helpers,
-    size_t chunk, size_t threads) const {
+  // touched, so an insufficient set returns nullopt without wasted copying.
   if (!plan.fully_solvable()) return std::nullopt;
-  const auto bases = bases_of(plan, helpers);
-  Buffer out(stripes_per_block_ * chunk);  // every stripe written below
-  const ExecTimer timer(PlanOp::kRepair);
+
+  // One pass over all rows: verbatim copies (decode_fast's common case)
+  // and solved combinations execute in the same row fan-out.
+  const auto bases = bases_of(plan, blocks);
+  Buffer out(rows * chunk);  // every row written below
+  const ExecTimer timer(op);
   plan.execute_batch(bases.data(), chunk, threads,
                      [&](const CodecPlan::Row& row) {
                        return out.data() + row.out * chunk;
@@ -462,113 +410,37 @@ std::optional<Buffer> CodecEngine::repair_execute(
   return out;
 }
 
-std::optional<Buffer> CodecEngine::repair_block_impl(
+std::optional<Buffer> CodecEngine::decode(
+    const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const {
+  return run_pattern(PlanOp::kDecode, SIZE_MAX, blocks, threads);
+}
+
+std::optional<Buffer> CodecEngine::decode_fast(
+    const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const {
+  return run_pattern(PlanOp::kDecodeFast, SIZE_MAX, blocks, threads);
+}
+
+std::optional<Buffer> CodecEngine::repair_block(
     size_t failed, const std::map<size_t, ConstByteSpan>& helpers,
     size_t threads) const {
   GALLOPER_CHECK(failed < num_blocks_);
   GALLOPER_CHECK_MSG(helpers.find(failed) == helpers.end(),
                      "failed block offered as its own helper");
-  if (helpers.empty()) return std::nullopt;
-  size_t chunk = 0;
-  const std::vector<size_t> ids = validate_blocks(helpers, &chunk);
-  const auto plan = pattern_plan(PlanOp::kRepair, ids, failed);
-  return repair_execute(*plan, helpers, chunk, threads);
-}
-
-std::optional<Buffer> CodecEngine::repair_block(
-    size_t failed, const std::map<size_t, ConstByteSpan>& helpers) const {
-  return repair_block_impl(failed, helpers, 1);
-}
-
-std::optional<Buffer> CodecEngine::repair_block_parallel(
-    size_t failed, const std::map<size_t, ConstByteSpan>& helpers,
-    size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return repair_block_impl(failed, helpers, threads);
+  return run_pattern(PlanOp::kRepair, failed, helpers, threads);
 }
 
 std::optional<Buffer> CodecEngine::repair_block_with_plan(
     const CodecPlan& plan, const std::map<size_t, ConstByteSpan>& helpers,
     size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  if (helpers.empty()) return std::nullopt;
-  size_t chunk = 0;
-  (void)validate_blocks(helpers, &chunk);
-  return repair_execute(plan, helpers, chunk, threads);
-}
-
-// ---- Batched forms --------------------------------------------------------
-//
-// The per-stripe implementations are already cell-size-agnostic: a batch of
-// B stripes in position-major layout IS a single "stripe" whose chunk is
-// B·c, and the bytewise GF kernels make the two readings coincide. The
-// wrappers therefore only validate the batch geometry (so a size mismatch
-// fails here, with a batch-aware message, instead of producing a misaligned
-// interleave) and delegate.
-
-std::vector<Buffer> CodecEngine::encode_batch(ConstByteSpan file, size_t batch,
-                                              size_t threads) const {
-  GALLOPER_CHECK_MSG(batch >= 1 && threads >= 1,
-                     "batch and threads must be >= 1");
-  GALLOPER_CHECK_MSG(
-      !file.empty() && file.size() % (num_chunks() * batch) == 0,
-      "batched file size " << file.size()
-                           << " must be a positive multiple of num_chunks·"
-                              "batch = "
-                           << num_chunks() * batch);
-  return encode_impl(file, threads);
-}
-
-std::optional<Buffer> CodecEngine::decode_batch(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t batch,
-    size_t threads) const {
-  GALLOPER_CHECK_MSG(batch >= 1 && threads >= 1,
-                     "batch and threads must be >= 1");
-  if (blocks.empty()) return std::nullopt;
-  GALLOPER_CHECK_MSG(
-      blocks.begin()->second.size() % (stripes_per_block_ * batch) == 0,
-      "batched block size " << blocks.begin()->second.size()
-                            << " must be a multiple of stripes_per_block·"
-                               "batch = "
-                            << stripes_per_block_ * batch);
-  return decode_impl(blocks, threads);
-}
-
-std::optional<Buffer> CodecEngine::decode_fast_batch(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t batch,
-    size_t threads) const {
-  GALLOPER_CHECK_MSG(batch >= 1 && threads >= 1,
-                     "batch and threads must be >= 1");
-  if (blocks.empty()) return std::nullopt;
-  GALLOPER_CHECK_MSG(
-      blocks.begin()->second.size() % (stripes_per_block_ * batch) == 0,
-      "batched block size " << blocks.begin()->second.size()
-                            << " must be a multiple of stripes_per_block·"
-                               "batch = "
-                            << stripes_per_block_ * batch);
-  return decode_fast_impl(blocks, threads);
-}
-
-std::optional<Buffer> CodecEngine::repair_block_batch(
-    size_t failed, const std::map<size_t, ConstByteSpan>& helpers,
-    size_t batch, size_t threads) const {
-  GALLOPER_CHECK_MSG(batch >= 1 && threads >= 1,
-                     "batch and threads must be >= 1");
-  if (helpers.empty()) return std::nullopt;
-  GALLOPER_CHECK_MSG(
-      helpers.begin()->second.size() % (stripes_per_block_ * batch) == 0,
-      "batched helper size " << helpers.begin()->second.size()
-                             << " must be a multiple of stripes_per_block·"
-                                "batch = "
-                             << stripes_per_block_ * batch);
-  return repair_block_impl(failed, helpers, threads);
+  return run_pattern(PlanOp::kRepair, SIZE_MAX, helpers, threads, &plan);
 }
 
 // ---- Ranged read ----------------------------------------------------------
 
-std::optional<Buffer> CodecEngine::read_range_impl(
+std::optional<Buffer> CodecEngine::read_range(
     const std::map<size_t, ConstByteSpan>& blocks, size_t offset,
     size_t length, size_t threads) const {
+  require_threads(threads);
   if (blocks.empty()) return std::nullopt;
   size_t chunk = 0;
   const std::vector<size_t> ids = validate_blocks(blocks, &chunk);
@@ -609,25 +481,13 @@ std::optional<Buffer> CodecEngine::read_range_impl(
   return range;
 }
 
-std::optional<Buffer> CodecEngine::read_range(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t offset,
-    size_t length) const {
-  return read_range_impl(blocks, offset, length, 1);
-}
-
-std::optional<Buffer> CodecEngine::read_range_parallel(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t offset,
-    size_t length, size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return read_range_impl(blocks, offset, length, threads);
-}
-
 // ---- In-place update ------------------------------------------------------
 
-std::vector<size_t> CodecEngine::update_chunk_impl(std::vector<Buffer>& blocks,
-                                                   size_t chunk,
-                                                   ConstByteSpan new_data,
-                                                   size_t threads) const {
+std::vector<size_t> CodecEngine::update_chunk(std::vector<Buffer>& blocks,
+                                              size_t chunk,
+                                              ConstByteSpan new_data,
+                                              size_t threads) const {
+  require_threads(threads);
   GALLOPER_CHECK(chunk < num_chunks());
   GALLOPER_CHECK_MSG(blocks.size() == num_blocks_,
                      "update needs all current blocks");
@@ -680,19 +540,6 @@ std::vector<size_t> CodecEngine::update_chunk_impl(std::vector<Buffer>& blocks,
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   return touched;
-}
-
-std::vector<size_t> CodecEngine::update_chunk(std::vector<Buffer>& blocks,
-                                              size_t chunk,
-                                              ConstByteSpan new_data) const {
-  return update_chunk_impl(blocks, chunk, new_data, 1);
-}
-
-std::vector<size_t> CodecEngine::update_chunk_parallel(
-    std::vector<Buffer>& blocks, size_t chunk, ConstByteSpan new_data,
-    size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return update_chunk_impl(blocks, chunk, new_data, threads);
 }
 
 // ---- Oracles --------------------------------------------------------------

@@ -50,31 +50,38 @@ class CodecEngine {
 
   // ---- Data paths -------------------------------------------------------
 
-  // Every data path below comes in a serial form and a `_parallel(...,
-  // threads)` form. The parallel forms run on the process-wide persistent
-  // work-stealing pool (rt::ThreadPool::global()): work splits across
-  // output rows and cache-line-aligned byte slices (every output byte at
-  // chunk offset i depends only on input bytes at offset i), so runners own
-  // disjoint 64-byte-granular regions — no locks, no false sharing. All
-  // parallel results are bit-identical to their serial counterpart for any
-  // thread count; threads must be ≥ 1 (CheckError otherwise).
+  // One method per operation. `threads` (≥ 1, CheckError otherwise) is the
+  // runner count on the process-wide persistent work-stealing pool
+  // (rt::ThreadPool::global()): work splits across output rows and
+  // cache-line-aligned byte slices (every output byte at chunk offset i
+  // depends only on input bytes at offset i), so runners own disjoint
+  // 64-byte-granular regions — no locks, no false sharing. threads == 1 runs
+  // the same units in a plain loop on the caller; results are bit-identical
+  // for any thread count.
+  //
+  // Batches: because the GF kernels are bytewise, B logically independent
+  // stripes in the position-major layout of util/bytes.h interleave_stripes
+  // (per chunk index: the chunk of stripe 0, then stripe 1 … then stripe
+  // B-1) ARE one codeword with chunk B·c. Passing that interleaved buffer to
+  // any method below runs ONE compiled plan over the whole batch, and the
+  // result is bit-identical to B per-stripe calls interleaved the same way
+  // (read_range offsets and update_chunk cells then address the interleaved
+  // layout). Every fused kernel call covers B·c contiguous bytes, so at
+  // small chunk sizes the per-call fixed costs (validation, plan lookup,
+  // dispatch) amortize over the batch.
 
   // Encodes a file of size num_chunks·c (any c ≥ 1) into num_blocks blocks
   // of stripes_per_block·c bytes each. Output buffers are never zero-filled:
   // data stripes are copied and parity stripes written by the
   // overwrite-mode fused kernel, so output memory is touched exactly once.
-  std::vector<Buffer> encode(ConstByteSpan file) const;
-  std::vector<Buffer> encode_parallel(ConstByteSpan file,
-                                      size_t threads) const;
+  std::vector<Buffer> encode(ConstByteSpan file, size_t threads = 1) const;
 
   // Recovers the original file from the given blocks (block id → contents).
   // nullopt if the available set is insufficient. Every chunk — even one
   // sitting verbatim in an available block — is computed as a linear
   // combination, mirroring the decode the paper measures in Fig. 7b.
-  std::optional<Buffer> decode(
-      const std::map<size_t, ConstByteSpan>& blocks) const;
-  std::optional<Buffer> decode_parallel(
-      const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const;
+  std::optional<Buffer> decode(const std::map<size_t, ConstByteSpan>& blocks,
+                               size_t threads = 1) const;
 
   // Bit-identical to decode(), but copies verbatim every chunk whose
   // systematic stripe is available and solves only for the missing ones —
@@ -82,17 +89,13 @@ class CodecEngine {
   // lower completion time…"). With striped codes most chunks are direct
   // copies, so this touches far fewer bytes.
   std::optional<Buffer> decode_fast(
-      const std::map<size_t, ConstByteSpan>& blocks) const;
-  std::optional<Buffer> decode_fast_parallel(
-      const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const;
+      const std::map<size_t, ConstByteSpan>& blocks, size_t threads = 1) const;
 
   // Rebuilds the contents of `failed` from helper blocks.
   // nullopt if the helper set cannot determine the block.
   std::optional<Buffer> repair_block(
-      size_t failed, const std::map<size_t, ConstByteSpan>& helpers) const;
-  std::optional<Buffer> repair_block_parallel(
       size_t failed, const std::map<size_t, ConstByteSpan>& helpers,
-      size_t threads) const;
+      size_t threads = 1) const;
 
   // Reads bytes [offset, offset+length) of the original file from the
   // given blocks without a full decode: available chunks are copied,
@@ -101,10 +104,7 @@ class CodecEngine {
   // recoverable from the provided blocks.
   std::optional<Buffer> read_range(
       const std::map<size_t, ConstByteSpan>& blocks, size_t offset,
-      size_t length) const;
-  std::optional<Buffer> read_range_parallel(
-      const std::map<size_t, ConstByteSpan>& blocks, size_t offset,
-      size_t length, size_t threads) const;
+      size_t length, size_t threads = 1) const;
 
   // Overwrites data chunk `chunk` with `new_data` (one chunk's worth of
   // bytes) and patches every parity stripe that depends on it via the
@@ -113,43 +113,8 @@ class CodecEngine {
   // blocks that were touched — the write I/O set of a systematic in-place
   // update.
   std::vector<size_t> update_chunk(std::vector<Buffer>& blocks, size_t chunk,
-                                   ConstByteSpan new_data) const;
-  std::vector<size_t> update_chunk_parallel(std::vector<Buffer>& blocks,
-                                            size_t chunk,
-                                            ConstByteSpan new_data,
-                                            size_t threads) const;
-
-  // ---- Batched (multi-stripe) forms ---------------------------------------
-
-  // Each *_batch form runs ONE compiled plan over `batch` logically
-  // independent stripes at once. Inputs and outputs use the position-major
-  // layout of util/bytes.h interleave_stripes: the file (for encode/decode)
-  // holds, per chunk index, the chunk of stripe 0 then stripe 1 … then
-  // stripe B-1 contiguously; blocks likewise per stripe position. Because
-  // the GF region kernels are bytewise, the results are BIT-IDENTICAL to
-  // calling the per-stripe form `batch` times on the deinterleaved data —
-  // but every fused kernel call covers batch·chunk contiguous bytes, so at
-  // small chunk sizes the per-call fixed costs (validation, plan lookup,
-  // span setup, dispatch) amortize over the whole batch and the kernels run
-  // in their wide-region sweet spot. batch == 1 is exactly the plain form.
-
-  // `file` holds num_chunks()·batch·c bytes (position-major); returns
-  // blocks of stripes_per_block()·batch·c bytes each (position-major).
-  std::vector<Buffer> encode_batch(ConstByteSpan file, size_t batch,
+                                   ConstByteSpan new_data,
                                    size_t threads = 1) const;
-  // Blocks are position-major with cell = batch·c; the returned file is
-  // position-major (deinterleave with cell_bytes = c to recover stripes).
-  std::optional<Buffer> decode_batch(
-      const std::map<size_t, ConstByteSpan>& blocks, size_t batch,
-      size_t threads = 1) const;
-  std::optional<Buffer> decode_fast_batch(
-      const std::map<size_t, ConstByteSpan>& blocks, size_t batch,
-      size_t threads = 1) const;
-  // Rebuilds `failed` for all `batch` stripes at once from position-major
-  // helper blocks; the result is the failed block in position-major layout.
-  std::optional<Buffer> repair_block_batch(
-      size_t failed, const std::map<size_t, ConstByteSpan>& helpers,
-      size_t batch, size_t threads = 1) const;
 
   // ---- Plans (pattern-compiled schedules) -------------------------------
 
@@ -167,7 +132,7 @@ class CodecEngine {
   // even after eviction. Plans encode solvability: decode/repair plans with
   // !fully_solvable() make the corresponding call return nullopt.
 
-  // Plan for decode()/decode_parallel() from exactly the blocks `available`.
+  // Plan for decode() from exactly the blocks `available`.
   std::shared_ptr<const CodecPlan> plan_decode(
       const std::vector<size_t>& available) const;
   // Plan for decode_fast() AND read_range() (they share one schedule: per
@@ -183,7 +148,8 @@ class CodecEngine {
   // Executes a pinned repair plan. `helpers` must cover the plan's
   // source_blocks() with equal-sized blocks; the plan must come from
   // plan_repair(failed, ...) on this engine (same pattern — checked via the
-  // source set). Bit-identical to repair_block(failed, helpers).
+  // source set and the row count). Bit-identical to
+  // repair_block(failed, helpers, threads).
   std::optional<Buffer> repair_block_with_plan(
       const CodecPlan& plan, const std::map<size_t, ConstByteSpan>& helpers,
       size_t threads = 1) const;
@@ -215,28 +181,14 @@ class CodecEngine {
   // sorted ids + chunk size.
   std::vector<size_t> validate_blocks(
       const std::map<size_t, ConstByteSpan>& blocks, size_t* chunk) const;
-  // Executes plan rows r in [0, plan.num_rows()) via
-  // CodecPlan::execute_batch into a freshly allocated block buffer.
-  std::optional<Buffer> repair_execute(
-      const CodecPlan& plan, const std::map<size_t, ConstByteSpan>& helpers,
-      size_t chunk, size_t threads) const;
-
-  // Shared serial/parallel implementations (threads == 1 is the serial
-  // path: no pool dispatch, plain loops).
-  std::vector<Buffer> encode_impl(ConstByteSpan file, size_t threads) const;
-  std::optional<Buffer> decode_impl(
-      const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const;
-  std::optional<Buffer> decode_fast_impl(
-      const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const;
-  std::optional<Buffer> repair_block_impl(
-      size_t failed, const std::map<size_t, ConstByteSpan>& helpers,
-      size_t threads) const;
-  std::optional<Buffer> read_range_impl(
-      const std::map<size_t, ConstByteSpan>& blocks, size_t offset,
-      size_t length, size_t threads) const;
-  std::vector<size_t> update_chunk_impl(std::vector<Buffer>& blocks,
-                                        size_t chunk, ConstByteSpan new_data,
-                                        size_t threads) const;
+  // The one executor behind decode, decode_fast, repair_block and
+  // repair_block_with_plan: validate, plan (unless `pinned`), check the
+  // plan's row count and solvability, then execute every row into a fresh
+  // rows·chunk buffer at row.out·chunk. `failed` is the repair target
+  // (SIZE_MAX for the decode ops).
+  std::optional<Buffer> run_pattern(
+      PlanOp op, size_t failed, const std::map<size_t, ConstByteSpan>& blocks,
+      size_t threads, const CodecPlan* pinned = nullptr) const;
 
   la::Matrix generator_;
   size_t num_blocks_;

@@ -1,8 +1,8 @@
 // Persistent work-stealing thread pool: the execution layer every parallel
 // codec data path runs on.
 //
-// The previous design spawned and joined fresh std::threads inside
-// encode_parallel on every call; with the SIMD kernels a stripe encodes in
+// The previous design spawned and joined fresh std::threads on every
+// threaded encode call; with the SIMD kernels a stripe encodes in
 // hundreds of microseconds, so thread creation dominated. This pool starts
 // its workers once and parks them on a condition variable between calls.
 //

@@ -1,10 +1,11 @@
-// Batched (multi-stripe) execution tests: every *_batch data path must be
-// bit-identical to running the per-stripe form on each stripe separately
-// and interleaving the results position-major, for batch sizes {1, 2, 7,
-// 64} and deliberately small chunks (where per-call overhead dominates and
-// batching matters most). Also covers the interleave helpers, the batch
-// geometry checks, the executor dispatch counters, and threaded execution
-// (this suite runs in the TSan 2-worker matrix).
+// Batched (multi-stripe) execution: one engine call on B stripes in the
+// position-major interleaved layout must be bit-identical to B per-stripe
+// calls interleaved the same way, for batch sizes {1, 2, 7, 64} and
+// deliberately small chunks (where per-call overhead dominates and batching
+// matters most). Also covers the interleave helpers, the executor dispatch
+// counters, and threaded execution (this suite runs in the TSan 2-worker
+// matrix). engine_parallel_test's matrix checks every op over the full
+// threads x chunk x batch grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,7 +108,7 @@ TEST_F(BatchTest, EncodeBatchMatchesPerStripe) {
     for (size_t chunk : {size_t{64}, size_t{1024}}) {
       const BatchInput in = make_input(e_, batch, chunk, 10 + batch);
       const auto expect = expected_blocks(e_, in, chunk);
-      const auto got = e_.encode_batch(in.batched, batch);
+      const auto got = e_.encode(in.batched);
       ASSERT_EQ(got.size(), expect.size());
       for (size_t b = 0; b < got.size(); ++b)
         EXPECT_EQ(got[b], expect[b]) << "batch=" << batch << " block=" << b;
@@ -127,11 +128,11 @@ TEST_F(BatchTest, DecodeBatchRecoversFromDegradedSet) {
     ASSERT_TRUE(code_.decodable(ids));
     const auto view = view_of(blocks, ids);
 
-    const auto decoded = e_.decode_batch(view, batch);
+    const auto decoded = e_.decode(view);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, in.batched) << "batch=" << batch;
 
-    const auto fast = e_.decode_fast_batch(view, batch);
+    const auto fast = e_.decode_fast(view);
     ASSERT_TRUE(fast.has_value());
     EXPECT_EQ(*fast, in.batched) << "batch=" << batch;
   }
@@ -144,8 +145,7 @@ TEST_F(BatchTest, RepairBlockBatchMatchesPerStripeBlock) {
     const auto blocks = expected_blocks(e_, in, chunk);
     for (size_t failed : {size_t{0}, size_t{5}}) {
       const auto helpers = code_.repair_helpers(failed);
-      const auto rebuilt =
-          e_.repair_block_batch(failed, view_of(blocks, helpers), batch);
+      const auto rebuilt = e_.repair_block(failed, view_of(blocks, helpers));
       ASSERT_TRUE(rebuilt.has_value())
           << "batch=" << batch << " failed=" << failed;
       EXPECT_EQ(*rebuilt, blocks[failed]);
@@ -154,8 +154,7 @@ TEST_F(BatchTest, RepairBlockBatchMatchesPerStripeBlock) {
 }
 
 // The batched blocks form a valid codeword with chunk' = batch · chunk, so
-// the per-stripe paths keep working on the batched layout — read_range and
-// update_chunk need no dedicated batch form.
+// read_range and update_chunk address cells of the batched layout.
 TEST_F(BatchTest, ReadRangeAndUpdateWorkOnBatchedLayout) {
   const size_t batch = 7, chunk = 64, cell = batch * chunk;
   const BatchInput in = make_input(e_, batch, chunk, 40);
@@ -175,40 +174,32 @@ TEST_F(BatchTest, ReadRangeAndUpdateWorkOnBatchedLayout) {
   e_.update_chunk(blocks, 2, patch);
   Buffer patched = in.batched;
   std::copy(patch.begin(), patch.end(), patched.begin() + 2 * cell);
-  const auto expect = e_.encode_batch(patched, batch);
+  const auto expect = e_.encode(patched);
   for (size_t b = 0; b < blocks.size(); ++b) EXPECT_EQ(blocks[b], expect[b]);
 }
 
 TEST_F(BatchTest, ThreadedBatchesAreBitIdentical) {
   const size_t batch = 64, chunk = 1024;
   const BatchInput in = make_input(e_, batch, chunk, 50);
-  const auto serial = e_.encode_batch(in.batched, batch, /*threads=*/1);
-  const auto threaded = e_.encode_batch(in.batched, batch, /*threads=*/3);
+  const auto serial = e_.encode(in.batched, /*threads=*/1);
+  const auto threaded = e_.encode(in.batched, /*threads=*/3);
   ASSERT_EQ(serial.size(), threaded.size());
   for (size_t b = 0; b < serial.size(); ++b)
     EXPECT_EQ(serial[b], threaded[b]);
 
   std::vector<size_t> ids{0, 1, 2, 4, 5, 6};
   const auto view = view_of(serial, ids);
-  const auto dec1 = e_.decode_fast_batch(view, batch, 1);
-  const auto dec3 = e_.decode_fast_batch(view, batch, 3);
+  const auto dec1 = e_.decode_fast(view, 1);
+  const auto dec3 = e_.decode_fast(view, 3);
   ASSERT_TRUE(dec1.has_value() && dec3.has_value());
   EXPECT_EQ(*dec1, *dec3);
   EXPECT_EQ(*dec1, in.batched);
 }
 
-TEST_F(BatchTest, RejectsBadBatchGeometry) {
-  const BatchInput in = make_input(e_, 2, 64, 60);
-  EXPECT_THROW(e_.encode_batch(in.batched, 0), CheckError);
-  // File size not divisible by num_chunks · batch.
-  EXPECT_THROW(e_.encode_batch(in.batched, 3), CheckError);
-  EXPECT_THROW(e_.encode_batch(in.batched, 2, /*threads=*/0), CheckError);
-}
-
 TEST_F(BatchTest, ExecutorCountsDispatches) {
   const BatchInput in = make_input(e_, 4, 256, 70);
   const BatchExecStats before = batch_exec_stats();
-  (void)e_.encode_batch(in.batched, 4);
+  (void)e_.encode(in.batched);
   const BatchExecStats after = batch_exec_stats();
   EXPECT_GT(after.calls, before.calls);
   EXPECT_GT(after.rows, before.rows);

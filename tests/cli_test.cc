@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <string>
 
 #include "cli/archive.h"
 #include "core/galloper.h"
@@ -720,6 +722,77 @@ TEST_F(ArchiveTest, ExitCodesDistinguishUsageAndDataErrors) {
     f.write(&byte, 1);
   }
   EXPECT_EQ(run_cli("repair " + (dir_ / "arch").string() + " --block=2"), 3);
+}
+
+// Hostile MANIFEST edits on a valid (4,2,1) v1 archive of 300,000 bytes
+// (capacity k·block_bytes = 300,020). Each must fail parsing with a
+// CheckError naming the offending line, and decode must fail without
+// leaving an output file behind — through the library and, when the binary
+// is reachable, with CLI exit code 1 (verify too).
+TEST_F(ArchiveTest, HostileManifestFailsCleanly) {
+  const fs::path in = write_input(300000, 61);
+  const fs::path arch = dir_ / "arch";
+  cli::encode_archive(in, arch, 4, 2, 1);
+  const fs::path manifest = arch / "MANIFEST";
+  const Buffer raw = read_back(manifest);
+  const std::string good(raw.begin(), raw.end());
+  ASSERT_EQ(good.rfind("format=galloper-archive-v1\n", 0), 0u);
+
+  const auto drop_first = [](const std::string& v) {
+    return v.substr(v.find(',') + 1);
+  };
+  const struct {
+    const char* key;
+    std::function<std::string(const std::string&)> mutate;
+  } mutations[] = {
+      {"original_bytes", [](const std::string&) { return "999999999999"; }},
+      {"k", [](const std::string&) { return "abc"; }},
+      {"k", [](const std::string&) { return "4x"; }},
+      {"k", [](const std::string&) { return "-1"; }},
+      {"block_crcs", [](const std::string& v) { return "1" + v; }},
+      {"weights", drop_first},
+      {"weights", [](const std::string& v) { return "-" + v; }},
+      {"block_crcs", drop_first},
+  };
+  const bool have_cli = fs::exists("../tools/galloper");
+  const fs::path out = dir_ / "out.bin";
+  for (const auto& m : mutations) {
+    const std::string prefix = std::string(m.key) + "=";
+    const size_t at = good.find("\n" + prefix) + 1;
+    const size_t value_at = at + prefix.size();
+    const size_t eol = good.find('\n', value_at);
+    const std::string line =
+        prefix + m.mutate(good.substr(value_at, eol - value_at));
+    const std::string bad = good.substr(0, at) + line + good.substr(eol);
+    SCOPED_TRACE(line);
+    {
+      std::ofstream f(manifest, std::ios::binary | std::ios::trunc);
+      f << bad;
+    }
+    try {
+      (void)cli::Manifest::parse(bad);
+      ADD_FAILURE() << "parse accepted the mutated manifest";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("manifest line \"" + line + "\""),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(cli::decode_archive_to(arch, out), CheckError);
+    EXPECT_FALSE(fs::exists(out));
+    if (have_cli) {
+      EXPECT_EQ(run_cli("decode " + arch.string() + " " + out.string()), 1);
+      EXPECT_FALSE(fs::exists(out));
+      EXPECT_EQ(run_cli("verify " + arch.string()), 1);
+    }
+  }
+
+  // The untouched manifest still decodes to the input exactly.
+  {
+    std::ofstream f(manifest, std::ios::binary | std::ios::trunc);
+    f << good;
+  }
+  ASSERT_TRUE(cli::decode_archive_to(arch, out));
+  EXPECT_EQ(read_back(out), input_);
 }
 
 }  // namespace

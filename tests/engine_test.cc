@@ -153,7 +153,7 @@ TEST_P(ParallelEncodeTest, MatchesSerialEncode) {
   // Chunk sizes around the slice-split edge cases.
   for (size_t chunk : {1u, 2u, 7u, 1024u, 10000u}) {
     const Buffer file = random_buffer(2 * chunk, rng);
-    ASSERT_EQ(e.encode_parallel(file, threads), e.encode(file))
+    ASSERT_EQ(e.encode(file, threads), e.encode(file))
         << "threads=" << threads << " chunk=" << chunk;
   }
 }
@@ -163,8 +163,8 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelEncodeTest,
 
 TEST(Engine, ParallelEncodeValidatesArguments) {
   const CodecEngine e = xor_engine();
-  EXPECT_THROW(e.encode_parallel(Buffer(16), 0), CheckError);
-  EXPECT_THROW(e.encode_parallel(Buffer(3), 2), CheckError);  // not 2k
+  EXPECT_THROW(e.encode(Buffer(16), 0), CheckError);
+  EXPECT_THROW(e.encode(Buffer(3), 2), CheckError);  // not 2k
 }
 
 TEST(Engine, MultiStripeLayoutRoundTrip) {

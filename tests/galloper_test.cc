@@ -230,7 +230,7 @@ TEST_P(GalloperBattery, ParallelEncodeMatchesSerial) {
   const GalloperCode code = make();
   Rng rng(888);
   const Buffer file = random_buffer(code.engine().num_chunks() * 96, rng);
-  EXPECT_EQ(code.engine().encode_parallel(file, 4), code.encode(file));
+  EXPECT_EQ(code.engine().encode(file, 4), code.encode(file));
 }
 
 TEST_P(GalloperBattery, DecodeFastMatchesDecodeOnRandomSubsets) {

@@ -231,6 +231,32 @@ TEST_F(PlanTest, PinnedRepairPlanSurvivesCacheDisableAndEviction) {
   }
 }
 
+// A pinned plan is trusted for its sources but not for its shape: a
+// decode_fast plan over the same helpers has num_chunks rows (28 for
+// (4,2,1)), and executing it into the 7-stripe repair buffer would write far
+// past its end. The executor rejects it by row count before touching bytes.
+TEST_F(PlanTest, PinnedRepairRejectsPlanOfAnotherOp) {
+  const core::GalloperCode code(4, 2, 1);
+  const CodecEngine& e = code.engine();
+  Rng rng(37);
+  const auto blocks = e.encode(random_buffer(e.num_chunks() * 64, rng));
+  // Every survivor: the decode plans over it are fully solvable, so only
+  // the row-count check stands between them and the undersized buffer.
+  const std::vector<size_t> helpers{1, 2, 3, 4, 5, 6};
+  const auto view = view_of(blocks, helpers);
+  ASSERT_NE(e.num_chunks(), e.stripes_per_block());
+  ASSERT_TRUE(e.plan_decode_fast(helpers)->fully_solvable());
+
+  EXPECT_THROW(e.repair_block_with_plan(*e.plan_decode_fast(helpers), view),
+               CheckError);
+  EXPECT_THROW(e.repair_block_with_plan(*e.plan_decode(helpers), view, 3),
+               CheckError);
+  // The matching plan still runs.
+  const auto got = e.repair_block_with_plan(*e.plan_repair(0, helpers), view);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, blocks[0]);
+}
+
 TEST_F(PlanTest, EvictionChurnKeepsResultsCorrect) {
   codes::ReedSolomonCode rs(4, 2);
   const CodecEngine& e = rs.engine();

@@ -169,13 +169,13 @@ TEST(ThreadPoolStress, ConcurrentEnginesShareGlobalPool) {
 
     const auto serial = code.engine().encode(file);
     for (int iter = 0; iter < 8; ++iter) {
-      const auto par = code.engine().encode_parallel(file, 1 + iter % 4);
+      const auto par = code.engine().encode(file, 1 + iter % 4);
       ASSERT_EQ(par.size(), serial.size());
       for (size_t b = 0; b < par.size(); ++b) ASSERT_EQ(par[b], serial[b]);
 
       std::map<size_t, ConstByteSpan> view;
       for (size_t b = 1; b < par.size(); ++b) view.emplace(b, par[b]);
-      const auto dec = code.engine().decode_parallel(view, 1 + iter % 4);
+      const auto dec = code.engine().decode(view, 1 + iter % 4);
       ASSERT_TRUE(dec.has_value());
       ASSERT_EQ(*dec, file);
     }
