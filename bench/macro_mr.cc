@@ -136,21 +136,37 @@ Cell run_degraded_cell(const JobDef& job, const core::GalloperCode& code,
   // Faults: the last block's server dies outright (every split there runs
   // degraded), one mid block is silently corrupted (first split read CRC-
   // quarantines it, then self-heals), and reads draw occasional stalls —
-  // the "one stalled helper" the surviving map slots absorb.
+  // the "one stalled helper" the surviving map slots absorb. Reads verify
+  // only the segments they decode from, so every flip lands in a data
+  // stripe a read covers: block b's first data stripe, pos_of(b).
+  const size_t chunk = job.file.size() / code.engine().num_chunks();
+  const auto pos_of = [&](size_t b) {
+    const std::vector<size_t>& held = code.engine().chunks_of_block(b);
+    return static_cast<size_t>(
+        std::find_if(held.begin(), held.end(),
+                     [](size_t c) { return c != SIZE_MAX; }) -
+        held.begin());
+  };
   fault::FaultInjector injector(0x9a110);
   injector.set_read_latency(0.02, 0.01);
   fs.set_fault_injector(&injector);
   fs.fail_server(code.num_blocks() - 1);
-  fs.corrupt_block(id, 2, 17);
+  fs.corrupt_block(id, 2, pos_of(2) * chunk + 17);
 
   std::atomic<bool> done{false};
   std::thread storm([&] {
     size_t round = 0;
+    const size_t span = std::min<size_t>(chunk, 4096);
     while (!done.load(std::memory_order_acquire)) {
       // Corrupt → verified read quarantines + auto-repairs: a continuous
       // stream of real degraded decodes and repairs through the plan cache.
-      fs.corrupt_block(storm_id, round % 2, 31 + round);
-      fs.read_range(storm_id, 0, 4096);
+      // The read covers the flipped byte: the head of the flipped stripe's
+      // chunk, alternating between blocks 0 and 1.
+      const size_t b = round % 2;
+      const size_t pos = pos_of(b);
+      fs.corrupt_block(storm_id, b, pos * chunk + (31 + round) % span);
+      fs.read_range(storm_id, code.engine().chunks_of_block(b)[pos] * chunk,
+                    span);
       ++round;
     }
   });

@@ -4,11 +4,11 @@
 // Per Zipf theta cell, the SAME deterministic read schedule runs twice
 // against one FileStore:
 //   uncached  cache detached (set_block_cache(nullptr)): every read_range
-//             is a full verified probe (CRC every needed block) + decode.
+//             fetches and CRCs the segments its plan reads + decodes.
 //   warm      a private cache attached, one unmeasured priming pass, then
 //             the timed pass through the pipelined StripedReader — hot
-//             blocks are served from verified cached bytes (row copies,
-//             no probes, no I/O pool).
+//             segments are served from verified cached bytes (no fetches,
+//             no I/O pool).
 // Every read in BOTH phases is byte-compared against an in-memory mirror,
 // so the speedup column only exists for bit-identical runs. The chaos cell
 // reruns the load generator degraded + concurrent corruptions with the
@@ -121,7 +121,7 @@ CacheCell run_cell(double theta) {
       cell.bit_identical = false;
   };
 
-  // Uncached: serial full-probe read_range per schedule entry.
+  // Uncached: serial verified read_range per schedule entry.
   const double uncached_s = bench::timed([&] {
     for (const Read& r : schedule)
       verify(r, store.read_range(r.file, r.offset, r.length));

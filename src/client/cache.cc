@@ -36,7 +36,7 @@ size_t default_shards() {
 size_t BlockCache::KeyHash::operator()(const Key& k) const {
   return static_cast<size_t>(
       mix64(mix64(k.store_uid) ^ mix64(k.file * 0x9e3779b97f4a7c15ull + 1) ^
-            k.block));
+            mix64(k.block * 0xbf58476d1ce4e5b9ull + 2) ^ k.segment));
 }
 
 BlockCache::BlockCache(size_t capacity_bytes, size_t shards)
@@ -100,13 +100,14 @@ void BlockCache::make_room_locked(Shard& shard, size_t incoming) {
 }
 
 BlockCache::EntryRef BlockCache::get(uint64_t store_uid, uint64_t file,
-                                     uint64_t block, uint64_t generation) {
+                                     uint64_t block, uint64_t segment,
+                                     uint64_t generation) {
   if (!enabled()) return nullptr;
   if (resident_entries_.load(std::memory_order_relaxed) == 0) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  const Key key{store_uid, file, block};
+  const Key key{store_uid, file, block, segment};
   Shard& shard = shard_of(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
@@ -158,11 +159,11 @@ BlockCache::EntryRef BlockCache::get(uint64_t store_uid, uint64_t file,
 }
 
 void BlockCache::put(uint64_t store_uid, uint64_t file, uint64_t block,
-                     uint64_t generation, EntryRef bytes) {
+                     uint64_t segment, uint64_t generation, EntryRef bytes) {
   if (!enabled() || bytes == nullptr) return;
   const size_t size = bytes->size();
   if (size == 0 || size > shard_capacity_) return;  // uncacheable
-  const Key key{store_uid, file, block};
+  const Key key{store_uid, file, block, segment};
   Shard& shard = shard_of(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
@@ -177,6 +178,7 @@ void BlockCache::put(uint64_t store_uid, uint64_t file, uint64_t block,
     e.generation = generation;
     e.data = std::move(bytes);
     insertions_.fetch_add(1, std::memory_order_relaxed);
+    inserted_bytes_.fetch_add(size, std::memory_order_relaxed);
     make_room_locked(shard, 0);
     return;
   }
@@ -189,19 +191,22 @@ void BlockCache::put(uint64_t store_uid, uint64_t file, uint64_t block,
   resident_bytes_.fetch_add(size, std::memory_order_relaxed);
   resident_entries_.fetch_add(1, std::memory_order_relaxed);
   insertions_.fetch_add(1, std::memory_order_relaxed);
+  inserted_bytes_.fetch_add(size, std::memory_order_relaxed);
 }
 
-void BlockCache::invalidate(uint64_t store_uid, uint64_t file,
-                            uint64_t block) {
+void BlockCache::invalidate(uint64_t store_uid, uint64_t file, uint64_t block,
+                            uint64_t segments) {
   if (!enabled()) return;
-  if (resident_entries_.load(std::memory_order_relaxed) == 0) return;
-  const Key key{store_uid, file, block};
-  Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return;
-  erase_locked(shard, it);
-  invalidations_.fetch_add(1, std::memory_order_relaxed);
+  for (uint64_t seg = 0; seg < segments; ++seg) {
+    if (resident_entries_.load(std::memory_order_relaxed) == 0) return;
+    const Key key{store_uid, file, block, seg};
+    Shard& shard = shard_of(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.map.find(key);
+    if (it == shard.map.end()) continue;
+    erase_locked(shard, it);
+    invalidations_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 BlockCacheStats BlockCache::stats() const {
@@ -209,6 +214,7 @@ BlockCacheStats BlockCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.insertions = insertions_.load(std::memory_order_relaxed);
+  s.inserted_bytes = inserted_bytes_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.invalidations = invalidations_.load(std::memory_order_relaxed);
   s.hit_bytes = hit_bytes_.load(std::memory_order_relaxed);

@@ -1,11 +1,14 @@
 // BlockCache: a process-wide, sharded, size-bounded cache of VERIFIED
-// whole store blocks, keyed by (store uid, file, block) plus the block's
+// block segments (store/segments.h: one write-time CRC-32C per 64 KiB of
+// a block), keyed by (store uid, file, block, segment) plus the block's
 // GENERATION at verification time.
 //
-// Why whole blocks and why generations:
+// Why segments and why generations:
 //  - Entries are inserted only by readers that just CRC-checked the bytes
-//    against the store's write-time checksum, so a cache hit is as
-//    trustworthy as a verified read — no re-CRC on the hot path.
+//    against the segment's write-time checksum, so a cache hit is as
+//    trustworthy as a verified read — no re-CRC on the hot path. A read
+//    miss fills exactly the segments its decode plan read (64 KiB each),
+//    not whole multi-MiB blocks.
 //  - FileStore keeps a per-block generation counter and bumps it on every
 //    mutation or quarantine (update_range, repair install, CRC quarantine,
 //    fail_server). get() returns bytes only when the caller's CURRENT
@@ -25,7 +28,7 @@
 // churns probation instead of evicting the hot Zipf head. Shard count is
 // a power of two (GALLOPER_CLIENT_CACHE_SHARDS, default 16); capacity is
 // GALLOPER_CLIENT_CACHE=off|<MiB>, default 64. Entry storage is the
-// pool-backed Buffer, so cached blocks recycle through util::BufferPool
+// pool-backed Buffer, so cached segments recycle through util::BufferPool
 // like every other data-path buffer.
 #pragma once
 
@@ -45,9 +48,10 @@ struct BlockCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;          // lookups that found nothing servable
   uint64_t insertions = 0;
+  uint64_t inserted_bytes = 0;  // sum of entry sizes inserted (fill traffic)
   uint64_t evictions = 0;       // capacity evictions
   uint64_t invalidations = 0;   // generation-mismatch drops + explicit drops
-  uint64_t hit_bytes = 0;       // sum of block sizes handed out on hits
+  uint64_t hit_bytes = 0;       // sum of entry sizes handed out on hits
   uint64_t resident_bytes = 0;
   uint64_t resident_entries = 0;
   uint64_t capacity_bytes = 0;
@@ -60,7 +64,7 @@ struct BlockCacheStats {
 
 class BlockCache {
  public:
-  // Cached blocks are handed out by shared_ptr so an entry evicted or
+  // Cached segments are handed out by shared_ptr so an entry evicted or
   // invalidated mid-decode stays alive for the reader holding it.
   using EntryRef = std::shared_ptr<const Buffer>;
 
@@ -81,24 +85,25 @@ class BlockCache {
   size_t capacity_bytes() const { return capacity_; }
   size_t shard_count() const { return shard_count_; }
 
-  // Bytes for (store_uid, file, block) if cached AND the entry's stored
-  // generation equals `generation` (the caller reads the current one from
-  // the store under its lock). A generation mismatch drops the stale
-  // entry (counted as an invalidation) and misses.
+  // Bytes of (store_uid, file, block, segment) if cached AND the entry's
+  // stored generation equals `generation` (the caller reads the block's
+  // current one from the store under its lock). A generation mismatch
+  // drops the stale entry (counted as an invalidation) and misses.
   EntryRef get(uint64_t store_uid, uint64_t file, uint64_t block,
-               uint64_t generation);
+               uint64_t segment, uint64_t generation);
 
-  // Inserts verified block bytes observed at `generation`. The caller
-  // must have CRC-verified `bytes` against the store checksum read under
+  // Inserts verified segment bytes observed at `generation`. The caller
+  // must have CRC-verified `bytes` against the segment checksum read under
   // the same lock hold as the generation. Replaces any existing entry for
-  // the key in place (keeping its segment and recency).
+  // the key in place (keeping its LRU segment and recency).
   void put(uint64_t store_uid, uint64_t file, uint64_t block,
-           uint64_t generation, EntryRef bytes);
+           uint64_t segment, uint64_t generation, EntryRef bytes);
 
-  // Explicitly drops one block's entry (the store calls this when it
-  // bumps the generation, so memory is reclaimed eagerly rather than
-  // waiting for a mismatch-on-get).
-  void invalidate(uint64_t store_uid, uint64_t file, uint64_t block);
+  // Explicitly drops segments [0, segments) of one block (the store calls
+  // this when it bumps the generation, so memory is reclaimed eagerly
+  // rather than waiting for a mismatch-on-get).
+  void invalidate(uint64_t store_uid, uint64_t file, uint64_t block,
+                  uint64_t segments);
 
   // Cumulative counters plus current residency. Safe while readers run.
   BlockCacheStats stats() const;
@@ -111,6 +116,7 @@ class BlockCache {
     uint64_t store_uid;
     uint64_t file;
     uint64_t block;
+    uint64_t segment;
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
@@ -148,6 +154,7 @@ class BlockCache {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};
+  std::atomic<uint64_t> inserted_bytes_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> invalidations_{0};
   std::atomic<uint64_t> hit_bytes_{0};

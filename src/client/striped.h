@@ -1,35 +1,41 @@
-// Pipelined striped client: StripedReader / StripedWriter stream a file
-// through fetch→decode→deliver (resp. slice→encode→assemble) stages over
-// rt::BoundedQueue, so the next batch's block fetches (and their injected
-// stalls) overlap the current batch's decode instead of serializing.
+// Pipelined striped client. StripedReader streams a read as a sliding
+// window of batch fetches in flight on the async I/O pool, decoded in order
+// on the caller, so the next batches' segment fetches (and their injected
+// stalls) overlap each other and the current batch's decode instead of
+// serializing. StripedWriter streams slice→encode→assemble stages over
+// rt::BoundedQueue.
 //
 // Why a client layer wins over per-call FileStore reads:
-//  - ONE verified-read session per stream (FileStore::begin_verified_read)
-//    replaces a full CRC probe of every block per read_range call — the
-//    per-batch cost drops to fetching exactly the byte ranges the decode
-//    plan touches (CodecPlan::row_sources), via fetch_block_pieces;
+//  - ONE read session per stream (FileStore::begin_verified_read: the
+//    transient-fault pre-draw over the available blocks) keys ONE decode
+//    plan for the whole stream; each batch then fetches and verifies only
+//    the segments that plan's covered rows read (CodecPlan::row_sources),
+//    via FileStore::fetch_segments;
 //  - batches ride a sliding window of hedged FetchSets (queue_depth deep),
-//    so slow helpers stall the window, not the stream;
-//  - the decode executes the SESSION plan's rows directly (plan_decode_fast
-//    keyed by the session's clean set + CodecPlan::run_row), which is the
-//    exact schedule FileStore::read_range runs — pipelined bytes are
-//    bit-identical to direct ones by construction;
+//    so slow helpers stall the window, not the stream, and a segment is
+//    fetched and verified once per stream however many batches read it;
+//  - the decode executes the SESSION plan's rows directly over the staged
+//    verified segments (store::decode_staged — the decode
+//    FileStore::read_range runs), so pipelined bytes are bit-identical to
+//    direct ones by construction;
 //  - AdmissionControl caps how many clients occupy the shared AsyncIo pool
 //    at once, so N clients queue at the door instead of convoying all
 //    their fetches into one saturated pool.
 //
-// Staleness: a session's clean set is a snapshot. If a concurrent reader
-// quarantines a block mid-stream, fetch_block_pieces reports it and the
-// reader falls back to plain FileStore::read_range for that call (counted
-// in ClientStats::fallbacks) — correctness never depends on the snapshot.
+// Staleness and corruption: a session's available set is a snapshot. If a
+// block the plan reads is quarantined or lost mid-stream, or a fetched
+// segment fails its checksum, the reader falls back to plain
+// FileStore::read_range_nofault for that call (counted in
+// ClientStats::fallbacks), which quarantines, replans and heals —
+// correctness never depends on the snapshot.
 //
 // Caching: when the store has a client::BlockCache attached (the default
 // process-wide one), read_range tries FileStore::read_range_cached FIRST —
-// a range fully covered by current-generation verified entries is served
-// with no session, no admission ticket, and no I/O pool — and each
-// pipeline batch consults the cache per plan slot, fetching only the
-// missing blocks (whole blocks, CRC-verified against the stored checksum
-// before insertion, so future hits are as trustworthy as verified reads).
+// a range whose plan sources are fully cached is served with no session,
+// no admission ticket, and no I/O pool — and each pipeline batch consults
+// the cache per segment, fetching only the missing ones (verified against
+// their segment checksums before insertion, so future hits are as
+// trustworthy as verified reads).
 #pragma once
 
 #include <condition_variable>
@@ -122,8 +128,8 @@ util::LatencyHistogram& client_latency_histogram();
 struct ReaderOptions {
   // Stripe chunks per pipeline batch (per-batch fetch/decode granularity).
   size_t batch_chunks = 4;
-  // Stage queue capacity AND the fetch window depth (in-flight batch
-  // FetchSets). 0 → rt::queue_depth() (GALLOPER_QUEUE_DEPTH).
+  // Fetch window depth (in-flight batch FetchSets). 0 → rt::queue_depth()
+  // (GALLOPER_QUEUE_DEPTH).
   size_t queue_depth = 0;
   // null → AdmissionControl::global().
   AdmissionControl* admission = nullptr;

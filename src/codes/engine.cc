@@ -102,6 +102,9 @@ CodecEngine::CodecEngine(la::Matrix stripe_generator, size_t num_blocks,
                      "generator cols " << generator_.cols()
                                        << " != chunk count "
                                        << chunk_pos_.size());
+  if (num_blocks_ <= kDecodableMemoMaxBlocks)  // 2 bits × 2^n masks
+    decodable_memo_.reset(new std::atomic<uint64_t>[std::max<size_t>(
+        1, (size_t{1} << num_blocks_) / 32)]());
   block_chunks_.assign(num_blocks_,
                        std::vector<size_t>(stripes_per_block_, SIZE_MAX));
   for (size_t c = 0; c < chunk_pos_.size(); ++c) {
@@ -547,7 +550,24 @@ std::vector<size_t> CodecEngine::update_chunk(std::vector<Buffer>& blocks,
 bool CodecEngine::decodable(
     const std::vector<size_t>& available_blocks) const {
   if (available_blocks.empty()) return num_chunks() == 0;
-  return la::rank(rows_of_blocks(available_blocks)) == num_chunks();
+  const auto rank_says = [&] {
+    return la::rank(rows_of_blocks(available_blocks)) == num_chunks();
+  };
+  if (!decodable_memo_) return rank_says();
+  uint64_t mask = 0;
+  for (size_t b : available_blocks) {
+    GALLOPER_CHECK(b < num_blocks_);
+    mask |= uint64_t{1} << b;
+  }
+  std::atomic<uint64_t>& word = decodable_memo_[mask / 32];
+  const unsigned shift = static_cast<unsigned>(mask % 32) * 2;
+  // The answer is a pure function of the mask, so relaxed order suffices:
+  // a racing first query computes and ORs in the same two bits.
+  const uint64_t state = (word.load(std::memory_order_relaxed) >> shift) & 3;
+  if (state != 0) return state == 2;
+  const bool yes = rank_says();
+  word.fetch_or(uint64_t{yes ? 2u : 1u} << shift, std::memory_order_relaxed);
+  return yes;
 }
 
 bool CodecEngine::can_repair(size_t failed,

@@ -15,6 +15,7 @@
 // only *construct* matrices; they never reimplement data paths.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -156,7 +157,15 @@ class CodecEngine {
 
   // ---- Oracles (structure only, no data) --------------------------------
 
+  // Whether the blocks determine the whole file. O(1) after the first query
+  // of each availability set when num_blocks() <= kDecodableMemoMaxBlocks:
+  // answers are memoized per engine in a lazily filled table of 2 bits per
+  // availability mask (unknown / no / yes — never built eagerly: for
+  // (12,4,2) that would be 2^18 ranks). Larger codes run the Gaussian rank
+  // every call. Thread-safe; concurrent first queries of one mask race
+  // benignly to store the same answer.
   bool decodable(const std::vector<size_t>& available_blocks) const;
+  static constexpr size_t kDecodableMemoMaxBlocks = 20;
   bool can_repair(size_t failed, const std::vector<size_t>& helpers) const;
 
   // Per-stripe nonzero coefficient count (sparsity diagnostic; parity
@@ -208,6 +217,10 @@ class CodecEngine {
   // Transposed sparsity: for each chunk, the parity stripes touching it
   // (row index + coefficient) — drives update_chunk().
   std::vector<std::vector<Term>> chunk_consumers_;
+  // decodable()'s memo: word m / 32 holds mask m's 2-bit state at bit
+  // 2·(m % 32) (0 unknown, 1 no, 2 yes). Null above
+  // kDecodableMemoMaxBlocks. Shared by copies, like engine_id_.
+  std::shared_ptr<std::atomic<uint64_t>[]> decodable_memo_;
   // The encode schedule, compiled once here instead of re-derived per call:
   // one row per output stripe, sources addressed as (slot 0 = the file,
   // pos = chunk index).

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <tuple>
+
 #include "codes/engine.h"
+#include "core/galloper.h"
 #include "la/builders.h"
+#include "la/solve.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -187,6 +193,84 @@ TEST(Engine, MultiStripeLayoutRoundTrip) {
   // Chunks land where the layout says.
   EXPECT_EQ(Buffer(blocks[0].begin() + 5, blocks[0].end() - 0),
             Buffer(file.begin() + 10, file.end()));
+}
+
+// ---- Memoized decodability ------------------------------------------------
+
+// The uncached oracle: rank of the available blocks' generator rows.
+bool rank_decodable(const CodecEngine& e, uint64_t mask) {
+  std::vector<size_t> rows;
+  for (size_t b = 0; b < e.num_blocks(); ++b)
+    if ((mask >> b) & 1)
+      for (size_t p = 0; p < e.stripes_per_block(); ++p)
+        rows.push_back(b * e.stripes_per_block() + p);
+  if (rows.empty()) return e.num_chunks() == 0;
+  return la::rank(e.generator().select_rows(rows)) == e.num_chunks();
+}
+
+std::vector<size_t> blocks_of(uint64_t mask, size_t n) {
+  std::vector<size_t> out;
+  for (size_t b = 0; b < n; ++b)
+    if ((mask >> b) & 1) out.push_back(b);
+  return out;
+}
+
+TEST(DecodableMemo, MatchesRankOnEveryMaskOfSmallCodes) {
+  for (const auto& [k, l, g] : {std::tuple{4, 2, 1}, std::tuple{4, 2, 2}}) {
+    const core::GalloperCode code(k, l, g);
+    const CodecEngine& e = code.engine();
+    ASSERT_LE(e.num_blocks(), CodecEngine::kDecodableMemoMaxBlocks);
+    const uint64_t masks = uint64_t{1} << e.num_blocks();
+    // Twice: the first pass fills the memo, the second reads it back.
+    for (int pass = 0; pass < 2; ++pass)
+      for (uint64_t m = 0; m < masks; ++m)
+        ASSERT_EQ(e.decodable(blocks_of(m, e.num_blocks())),
+                  rank_decodable(e, m))
+            << "(" << k << "," << l << "," << g << ") mask " << m
+            << " pass " << pass;
+  }
+}
+
+TEST(DecodableMemo, MatchesRankOnRandomMasksOfAWideCode) {
+  const core::GalloperCode code(12, 4, 2);
+  const CodecEngine& e = code.engine();
+  Rng rng(0xdec0);
+  std::vector<uint64_t> masks(10000);
+  for (uint64_t& m : masks)
+    m = rng.next_u64() & ((uint64_t{1} << e.num_blocks()) - 1);
+  for (int pass = 0; pass < 2; ++pass)
+    for (uint64_t m : masks)
+      ASSERT_EQ(e.decodable(blocks_of(m, e.num_blocks())),
+                rank_decodable(e, m))
+          << "mask " << m << " pass " << pass;
+}
+
+TEST(DecodableMemo, ConcurrentFirstQueriesAgree) {
+  // Every thread races through the same never-queried masks, so first-time
+  // fills of one table word collide.
+  const core::GalloperCode code(4, 2, 2);
+  const CodecEngine& e = code.engine();
+  const uint64_t masks = uint64_t{1} << e.num_blocks();
+  std::vector<uint8_t> truth(masks);
+  for (uint64_t m = 0; m < masks; ++m) truth[m] = rank_decodable(e, m);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&] {
+      for (uint64_t m = 0; m < masks; ++m)
+        if (e.decodable(blocks_of(m, e.num_blocks())) != (truth[m] != 0))
+          wrong.fetch_add(1);
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(DecodableMemo, CopiesShareTheMemoAndIdsAreChecked) {
+  const core::GalloperCode code(4, 2, 1);
+  const CodecEngine copy = code.engine();
+  EXPECT_EQ(copy.decodable({0, 1, 2, 3}),
+            code.engine().decodable({0, 1, 2, 3}));
+  EXPECT_THROW(code.engine().decodable({0, 99}), CheckError);
 }
 
 }  // namespace

@@ -356,10 +356,10 @@ TEST_F(FaultedStoreTest, HedgedReadRangeAbsorbsAStalledProbe) {
   const FileId id = fs.write(file);
   fs.set_fault_injector(&injector);
 
-  // One CRC probe stalls 10 s. The decode proceeds from the other blocks
-  // immediately, and the straggler probe itself is hedged stall-free — the
-  // read's tail is the 20 ms deadline, and the block still gets counted
-  // (zero crc_failures here; the data is fine, only slow).
+  // One fetch stalls 10 s. It is hedged stall-free at the deadline — the
+  // read's tail is the 20 ms deadline, not the stall — and its segments
+  // are still verified (zero crc_failures here; the data is fine, only
+  // slow).
   ScopedHedgeDeadline deadline(0.02);
   injector.stall_next_reads(1, 10.0);
   std::optional<Buffer> out;
@@ -373,7 +373,7 @@ TEST_F(FaultedStoreTest, HedgedReadRangeAbsorbsAStalledProbe) {
   EXPECT_EQ(fs.read_stats().degraded_reads, 0u);
 }
 
-// Regression: with EVERY candidate probe stalled there are more in-flight
+// Regression: with EVERY fetch stalled there are more in-flight
 // fetches than I/O threads, so the hedges issued at the deadline queue
 // behind stalled primaries and get cancelled while still queued when the
 // primaries land. Those never-ran hedges must still count as completed —
@@ -424,7 +424,7 @@ TEST_F(FaultedStoreTest, AsyncFetchCrashPointPropagates) {
   const FileId id = fs.write(file);
   fs.set_fault_injector(&injector);
 
-  // The crash fires inside an async CRC probe on an I/O thread; the
+  // The crash fires inside an async fetch on an I/O thread; the
   // exception must propagate to the caller, before any quarantine.
   injector.arm_crash("store.fetch");
   EXPECT_THROW(fs.read_range(id, 0, fs.file_bytes(id)), CrashError);

@@ -6,6 +6,7 @@
 
 #include "codes/reed_solomon.h"
 #include "core/galloper.h"
+#include "fault/fault.h"
 #include "store/file_store.h"
 #include "store/recovery.h"
 #include "util/check.h"
@@ -518,9 +519,15 @@ TEST_F(FileStoreTest, ReadRangeSubrangesSurviveCorruption) {
   const FileId id = fs.write(file);
   Rng offsets(7);
   for (size_t i = 0; i < 8; ++i) {
-    fs.corrupt_block(id, i % code.num_blocks(),
-                     offsets.next_below(fs.block_bytes(id)));
-    const size_t off = offsets.next_below(file.size());
+    const size_t b = i % code.num_blocks();
+    fs.corrupt_block(id, b, offsets.next_below(fs.block_bytes(id)));
+    // Reads verify only the segments they decode from, so each range
+    // starts inside a data chunk block b stores (read verbatim from b).
+    std::vector<size_t> own;
+    for (size_t c : code.engine().chunks_of_block(b))
+      if (c != SIZE_MAX) own.push_back(c);
+    const size_t off =
+        own[offsets.next_below(own.size())] * chunk + offsets.next_below(chunk);
     const size_t len = 1 + offsets.next_below(file.size() - off);
     const auto got = fs.read_range(id, off, len);
     ASSERT_TRUE(got.has_value()) << "iteration " << i;
@@ -602,6 +609,110 @@ TEST(Recovery, ReportsUnrecoverableBlocks) {
   const auto report = mgr.recover_all();
   EXPECT_EQ(report.blocks_repaired, 0u);
   EXPECT_EQ(report.blocks_unrecoverable, 3u);
+}
+
+// ---- Range-proportional verification --------------------------------------
+
+// A 4 KiB read of a (4,2,2) file with 4 MiB blocks verifies only the
+// segments its plan reads: at most 2 per source piece (a piece may straddle
+// one segment boundary) — 128 KiB here, where a whole-stripe probe CRCs
+// 32 MiB.
+TEST(SegmentVerifyTest, PointReadVerifiesAtMostTwoSegmentsPerSourcePiece) {
+  core::GalloperCode code(4, 2, 2);
+  sim::Simulation simulation;
+  sim::Cluster cluster(simulation, code.num_blocks(), sim::ServerSpec{});
+  FileStore fs(cluster, code);
+  fs.set_block_cache(nullptr);
+  const size_t chunk = (size_t{4} << 20) / code.engine().stripes_per_block();
+  Rng rng(41);
+  const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const FileId id = fs.write(file);
+  ASSERT_EQ(fs.block_bytes(id), size_t{4} << 20);
+
+  // Straddles a segment boundary, so the source piece spans two segments.
+  const size_t offset = kSegmentBytes - 2048, length = 4096;
+  const size_t before = fs.read_stats().verified_bytes;
+  const auto got = fs.read_range(id, offset, length);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(std::equal(got->begin(), got->end(), file.begin() + offset));
+  const size_t verified = fs.read_stats().verified_bytes - before;
+
+  std::vector<size_t> all(code.num_blocks());
+  for (size_t b = 0; b < all.size(); ++b) all[b] = b;
+  const auto plan = code.engine().plan_decode_fast(all);
+  size_t pieces = 0;
+  for (size_t c = offset / chunk; c * chunk < offset + length; ++c)
+    pieces += plan->row(c).copy_slot >= 0
+                  ? 1
+                  : plan->row_sources(plan->row(c)).size();
+  EXPECT_GT(verified, 0u);
+  EXPECT_LE(verified, 2 * kSegmentBytes * pieces);
+  EXPECT_LE(verified, size_t{128} << 10);
+}
+
+// Repair verifies its helpers under the SHARED lock: readers of other files
+// keep finishing while a repair that meets a corrupt helper runs (and
+// quarantines it under a short exclusive hold). Injected latency on the
+// repair's helper fetches keeps it in flight; the readers use the
+// zero-draw read path, so only the repair draws from the injector.
+TEST(SegmentVerifyTest, OtherFilesReadersFinishDuringRepairWithBadHelper) {
+  core::GalloperCode code(4, 2, 1);
+  sim::Simulation simulation;
+  sim::Cluster cluster(simulation, code.num_blocks() + 2, sim::ServerSpec{});
+  FileStore fs(cluster, code);
+  fs.set_block_cache(nullptr);
+  Rng rng(43);
+  const size_t chunk = 96 << 10;  // multi-segment blocks
+  const Buffer fa = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const Buffer fb = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const FileId a = fs.write(fa);
+  const FileId b = fs.write(fb);
+
+  // File a loses block 0 (quarantined) and one of its helpers rots.
+  fs.corrupt_block(a, 0, 0);
+  ASSERT_EQ(fs.scrub(/*quarantine=*/true).size(), 1u);
+  const auto helpers = code.repair_helpers(0);
+  ASSERT_FALSE(helpers.empty());
+  fs.corrupt_block(a, helpers[0], fs.block_bytes(a) - 1);
+  fault::FaultInjector inj(7);
+  inj.set_read_latency(1.0, 0.02);
+  fs.set_fault_injector(&inj);
+
+  std::atomic<bool> repairing{false}, done{false};
+  std::atomic<int> during{0}, mismatches{0}, started{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Rng local(200 + t);
+      started.fetch_add(1);
+      while (!done.load()) {
+        const size_t off = local.next_below(fb.size());
+        const size_t len = 1 + local.next_below(std::min<size_t>(
+                                   fb.size() - off, 8192));
+        const bool in_flight = repairing.load();
+        const auto got = fs.read_range_nofault(b, off, len);
+        if (!got || !std::equal(got->begin(), got->end(), fb.begin() + off))
+          mismatches.fetch_add(1);
+        if (in_flight && repairing.load()) during.fetch_add(1);
+      }
+    });
+  }
+  while (started.load() < 2) std::this_thread::yield();
+  repairing.store(true);
+  const auto repaired = fs.repair(a, 0);
+  repairing.store(false);
+  done.store(true);
+  for (auto& th : readers) th.join();
+
+  ASSERT_TRUE(repaired.has_value());
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(during.load(), 0) << "no read of file b finished mid-repair";
+  EXPECT_GE(fs.read_stats().crc_failures, 1u);
+  EXPECT_EQ(fs.lost_blocks(a), std::vector<size_t>{helpers[0]});
+  fs.set_fault_injector(nullptr);
+  ASSERT_TRUE(fs.repair(a, helpers[0]).has_value());
+  EXPECT_EQ(*fs.read(a), fa);
+  EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
 }
 
 }  // namespace
