@@ -5,37 +5,21 @@
 // serializing. StripedWriter streams slice→encode→assemble stages over
 // rt::BoundedQueue.
 //
-// Why a client layer wins over per-call FileStore reads:
-//  - ONE read session per stream (FileStore::begin_verified_read: the
-//    transient-fault pre-draw over the available blocks) keys ONE decode
-//    plan for the whole stream; each batch then fetches and verifies only
-//    the segments that plan's covered rows read (CodecPlan::row_sources),
-//    via FileStore::fetch_segments;
-//  - batches ride a sliding window of hedged FetchSets (queue_depth deep),
-//    so slow helpers stall the window, not the stream, and a segment is
-//    fetched and verified once per stream however many batches read it;
-//  - the decode executes the SESSION plan's rows directly over the staged
-//    verified segments (store::decode_staged — the decode
-//    FileStore::read_range runs), so pipelined bytes are bit-identical to
-//    direct ones by construction;
-//  - AdmissionControl caps how many clients occupy the shared AsyncIo pool
-//    at once, so N clients queue at the door instead of convoying all
-//    their fetches into one saturated pool.
-//
-// Staleness and corruption: a session's available set is a snapshot. If a
-// block the plan reads is quarantined or lost mid-stream, or a fetched
-// segment fails its checksum, the reader falls back to plain
-// FileStore::read_range_nofault for that call (counted in
-// ClientStats::fallbacks), which quarantines, replans and heals —
-// correctness never depends on the snapshot.
-//
-// Caching: when the store has a client::BlockCache attached (the default
-// process-wide one), read_range tries FileStore::read_range_cached FIRST —
-// a range whose plan sources are fully cached is served with no session,
-// no admission ticket, and no I/O pool — and each pipeline batch consults
-// the cache per segment, fetching only the missing ones (verified against
-// their segment checksums before insertion, so future hits are as
-// trustworthy as verified reads).
+// The read itself is FileStore's read core (open_read / finish_read: one
+// snapshot and one decode plan per call, verified segment fetches, an
+// in-call replan around a gone, unreadable or corrupt block, self-heal) —
+// the loop FileStore::read_range runs with the whole range as one batch,
+// so pipelined bytes are bit-identical to direct ones by construction.
+// StripedReader adds only what the store cannot know:
+//  - the window shape: ReaderOptions' batch_chunks per batch and
+//    queue_depth batches in flight, so slow helpers stall the window, not
+//    the stream;
+//  - AdmissionControl, which caps how many clients occupy the shared
+//    AsyncIo pool at once, so N clients queue at the door instead of
+//    convoying all their fetches into one saturated pool. The ticket is
+//    taken after the core's open step, and only when it left something to
+//    fetch: a range the block cache fully staged skips the gate;
+//  - the process-wide ClientStats and the call latency histogram.
 #pragma once
 
 #include <condition_variable>
@@ -44,10 +28,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
-#include "io/async.h"
 #include "store/file_store.h"
 #include "util/bytes.h"
 #include "util/stats.h"
@@ -116,7 +98,7 @@ struct ClientStats {
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
   uint64_t batches = 0;        // fetch→decode batches processed
-  uint64_t fallbacks = 0;      // stale sessions retried via direct read
+  uint64_t fallbacks = 0;      // reads that replanned around a lost block
   uint64_t cache_reads = 0;    // reads served entirely from the block cache
 };
 ClientStats client_stats();
@@ -146,9 +128,6 @@ class StripedReader {
                                    size_t length);
 
  private:
-  std::optional<Buffer> read_pipelined(store::FileId id, size_t offset,
-                                       size_t length);
-
   store::FileStore& store_;
   ReaderOptions opt_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <thread>
 #include <tuple>
 
@@ -32,24 +33,23 @@ std::vector<uint32_t> segment_crcs(ConstByteSpan block) {
 // Transient read faults are retried in place this many times per fetch.
 constexpr size_t kReadAttempts = 3;
 
-// First-wins landing slot for one block's fetch: a primary fetch and its
-// hedged re-fetch run the same body, the first to finish publishes `got`,
-// and the loser's copies die with the loser.
-struct FetchLanding {
-  std::mutex mu;
-  bool filled = false;
-  FileStore::SegmentFetch got;
-};
+// Whether every row covering file bytes [lo, hi) decodes under `plan`.
+bool rows_solvable(const codes::CodecPlan& plan, size_t chunk, size_t lo,
+                   size_t hi) {
+  for (size_t c = lo / chunk; c * chunk < hi; ++c)
+    if (!plan.row(c).solvable) return false;
+  return true;
+}
 
 }  // namespace
 
 // Every store data path that touches more than one block runs in parallel:
-// read_range and repair gather their blocks as concurrent fetches on the
-// async I/O pool (io::AsyncIo) — read_range fetching only the verified
-// segments its plan reads; scrub's pure-CPU checksum sweep stays on the
-// compute pool (rt::parallel_for) — it scales with cores, not with
-// in-flight syscalls, and its in-memory latencies must not pollute the
-// kFetch histogram that feeds the hedge deadline.
+// the read core (finish_read) and repair gather their blocks as concurrent
+// fetches on the async I/O pool (io::AsyncIo) — the read core fetching only
+// the verified segments its plan reads; scrub's pure-CPU checksum sweep
+// stays on the compute pool (rt::parallel_for) — it scales with cores, not
+// with in-flight syscalls, and its in-memory latencies must not pollute
+// the kFetch histogram that feeds the hedge deadline.
 // Determinism contract: ALL fault-injector decisions (latency,
 // transient failures) are drawn on the calling thread, in slot (block)
 // order, for the fetches actually issued, before anything is submitted, so
@@ -136,52 +136,6 @@ uint64_t FileStore::block_generation(FileId id, size_t b) const {
   GALLOPER_CHECK(id < files_.size());
   GALLOPER_CHECK(b < code_.num_blocks());
   return block_gens_[id][b];
-}
-
-std::vector<uint64_t> FileStore::block_generations(FileId id) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  GALLOPER_CHECK(id < files_.size());
-  return block_gens_[id];
-}
-
-std::optional<Buffer> FileStore::read_range_cached(FileId id, size_t offset,
-                                                   size_t length) {
-  client::BlockCache* cache = cache_;
-  if (cache == nullptr || !cache->enabled() || length == 0)
-    return std::nullopt;
-  // Snapshot the available set and the generations under one shared hold.
-  // A mutation after release bumps a generation and drops its entries,
-  // which only means we may serve bytes that were valid at lookup time
-  // (the same guarantee any read has).
-  std::vector<size_t> available;
-  std::vector<uint64_t> gens;
-  size_t bbytes = 0;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    bbytes = checked_range_locked(id, offset, length);
-    available = available_blocks_locked(id);
-    gens = block_gens_[id];
-  }
-  // The plan a verified read of this range would run; the cache serves
-  // only when every segment its covered rows read is resident.
-  const size_t chunk = bbytes / code_.engine().stripes_per_block();
-  const auto plan = code_.engine().plan_decode_fast(available);
-  for (size_t c = offset / chunk; c * chunk < offset + length; ++c)
-    if (!plan->row(c).solvable) return std::nullopt;
-  const auto need =
-      plan_source_segments(*plan, chunk, offset, offset + length);
-  StagedSegments staged(code_.num_blocks(), bbytes);
-  for (size_t slot = 0; slot < need.size(); ++slot) {
-    const size_t b = plan->source_blocks()[slot];
-    for (size_t g : need[slot]) {
-      auto e = cache->get(cache_uid_, id, b, g, gens[b]);
-      if (e == nullptr) return std::nullopt;
-      staged.put(b, g, std::move(e));
-    }
-  }
-  Buffer out(length);
-  decode_staged(*plan, chunk, offset, offset + length, staged, out.data());
-  return out;
 }
 
 FileId FileStore::write(ConstByteSpan file) {
@@ -300,18 +254,6 @@ std::vector<size_t> FileStore::available_blocks_locked(FileId id) const {
   return out;
 }
 
-size_t FileStore::checked_range_locked(FileId id, size_t offset,
-                                       size_t length) const {
-  GALLOPER_CHECK(id < files_.size());
-  const size_t fbytes =
-      code_.engine().num_chunks() *
-      (file_block_bytes_[id] / code_.engine().stripes_per_block());
-  GALLOPER_CHECK_MSG(offset + length <= fbytes,
-                     "range [" << offset << ", " << offset + length
-                               << ") beyond file size " << fbytes);
-  return file_block_bytes_[id];
-}
-
 std::vector<size_t> FileStore::lost_blocks(FileId id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   GALLOPER_CHECK(id < files_.size());
@@ -357,6 +299,10 @@ std::optional<Buffer> FileStore::read_original_only(FileId id) const {
   return fmt.gather(blocks);
 }
 
+client::BlockCache* FileStore::cache_enabled() const {
+  return cache_ != nullptr && cache_->enabled() ? cache_ : nullptr;
+}
+
 std::optional<Buffer> FileStore::read_original_split(FileId id, size_t b,
                                                      size_t block_offset,
                                                      size_t length) {
@@ -392,11 +338,11 @@ std::optional<Buffer> FileStore::read_original_split(FileId id, size_t b,
   // Hot path: current-generation verified cache segments covering the
   // split serve it with no injector draws and no verification (they were
   // CRC-checked when inserted) — sibling splits share boundary segments.
-  const bool use_cache = cache_ != nullptr && cache_->enabled();
-  if (use_cache) {
+  client::BlockCache* cache = cache_enabled();
+  if (cache) {
     std::vector<Segment> hits;
     for (size_t g : segs) {
-      auto e = cache_->get(cache_uid_, id, b, g, gen);
+      auto e = cache->get(cache_uid_, id, b, g, gen);
       if (e == nullptr) break;
       hits.push_back(std::move(e));
     }
@@ -421,9 +367,9 @@ std::optional<Buffer> FileStore::read_original_split(FileId id, size_t b,
   // the cache at the generation the copies were verified under.
   const SegmentFetch got = fetch_segments(id, b, segs);
   if (got.status == FetchStatus::kOk) {
-    if (use_cache)
+    if (cache)
       for (size_t i = 0; i < segs.size(); ++i)
-        cache_->put(cache_uid_, id, b, segs[i], got.generation,
+        cache->put(cache_uid_, id, b, segs[i], got.generation,
                     got.segments[i]);
     return copy_out(got.segments);
   }
@@ -624,6 +570,8 @@ FileStore::ReadStats FileStore::read_stats() const {
   s.transient_faults =
       counters_.transient_faults.load(std::memory_order_relaxed);
   s.auto_repairs = counters_.auto_repairs.load(std::memory_order_relaxed);
+  s.replanned_reads =
+      counters_.replanned_reads.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -700,179 +648,279 @@ FileStore::SegmentFetch FileStore::fetch_segments(
   return out;
 }
 
-std::optional<Buffer> FileStore::read_range(FileId id, size_t offset,
-                                            size_t length) {
-  return read_range_impl(id, offset, length, /*draw_faults=*/true);
-}
+// First-wins landing slot for one block's fetch: a primary fetch and its
+// hedged re-fetch run the same body, the first to finish publishes `got`,
+// and the loser's copies die with the loser.
+struct FileStore::FetchLanding {
+  std::mutex mu;
+  bool filled = false;
+  SegmentFetch got;
+};
 
-std::optional<Buffer> FileStore::read_range_nofault(FileId id, size_t offset,
-                                                    size_t length) {
-  return read_range_impl(id, offset, length, /*draw_faults=*/false);
-}
-
-std::optional<Buffer> FileStore::read_range_impl(FileId id, size_t offset,
-                                                 size_t length,
-                                                 bool draw_faults) {
-  // Hot-head fast path: a range whose plan sources are fully cached is
-  // served with no fetches, no injector draws, and no trip through the I/O
-  // pool (not counted as a verified read — nothing was re-verified; the
-  // segments were CRC-checked when inserted).
-  if (auto cached = read_range_cached(id, offset, length)) return cached;
-
-  counters_.verified_reads.fetch_add(1, std::memory_order_relaxed);
-  size_t bbytes = 0;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    bbytes = checked_range_locked(id, offset, length);
-  }
-  if (length == 0) return Buffer();
-  const size_t chunk = bbytes / code_.engine().stripes_per_block();
-  const size_t n = code_.num_blocks();
-
-  // Plan first, then fetch exactly the segments the plan's covered rows
-  // read. Each round either decodes or drops at least one block from this
-  // read (unreadable, gone, or quarantined as corrupt) and replans, so it
-  // ends within n rounds. Segments verified in an earlier round stay
-  // staged — they are true bytes whatever the next plan is.
-  StagedSegments staged(n, bbytes);
-  std::vector<bool> dropped(n, false);
-  // Each block draws its latency and transient faults once, before its
-  // first fetch (the nofault form draws none: its caller, the pipelined
-  // client's fallback, already paid this read's schedule — see the header).
-  // The drawn stall rides that first fetch; a later round's fetch of more
-  // segments of the same block is stall-free.
-  std::vector<bool> drawn(n, false);
-  std::vector<double> stall(n, 0.0);
-  std::vector<size_t> corrupt;
-  std::optional<Buffer> out;
-  for (;;) {
-    std::vector<size_t> available;
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      for (size_t b : available_blocks_locked(id))
-        if (!dropped[b]) available.push_back(b);
-    }
-    const auto plan = code_.engine().plan_decode_fast(available);
-    bool solvable = true;
-    for (size_t c = offset / chunk; c * chunk < offset + length; ++c)
-      solvable &= plan->row(c).solvable;
-    if (!solvable) break;
-
-    struct Want {
-      size_t block;
-      std::vector<size_t> segs;
-      double stall_s = 0;
-      size_t bytes = 0;
-    };
-    std::vector<Want> wants;
-    const auto need =
-        plan_source_segments(*plan, chunk, offset, offset + length);
-    for (size_t slot = 0; slot < need.size(); ++slot) {
-      Want w{plan->source_blocks()[slot], {}};
-      for (size_t g : need[slot]) {
-        if (staged.has(w.block, g)) continue;
-        w.segs.push_back(g);
-        w.bytes += segment_size(bbytes, g);
-      }
-      if (!w.segs.empty()) wants.push_back(std::move(w));
-    }
-    // The fault schedule of the fetches this round issues, drawn here in
-    // slot order. A block whose reads keep failing is dropped and the
-    // round replans before anything is submitted.
-    bool unreadable = false;
-    for (const Want& w : wants) {
-      if (!draw_faults || drawn[w.block]) continue;
-      drawn[w.block] = true;
-      const std::optional<double> stall_s = draw_fetch();
-      if (!stall_s) {
-        dropped[w.block] = unreadable = true;
-        break;
-      }
-      stall[w.block] = *stall_s;
-    }
-    if (unreadable) continue;
-    for (Want& w : wants) std::swap(w.stall_s, stall[w.block]);
-
-    // Fetch concurrently on the async I/O pool. A fetch still slow at the
-    // hedge deadline is re-issued without its injected stall (a second
-    // replica path); the first result per block wins and the loser is
-    // cancelled. Hedges draw NOTHING from the injector.
-    std::vector<FetchLanding> landing(wants.size());
-    const auto fetch = [&](size_t i) {
-      return [this, id, w = &wants[i], l = &landing[i]] {
-        if (injector_) injector_->crash_point("store.fetch");
-        SegmentFetch got = fetch_segments(id, w->block, w->segs);
-        const bool ok = got.status == FetchStatus::kOk;
-        std::lock_guard<std::mutex> lock(l->mu);
-        if (!l->filled) {
-          l->got = std::move(got);
-          l->filled = true;
-        }
-        return ok;
-      };
-    };
-    io::FetchSet fetches;
-    std::vector<bool> hedged(wants.size(), false);
-    for (size_t i = 0; i < wants.size(); ++i)
-      fetches.fetch(i, wants[i].stall_s, fetch(i), /*hedge=*/false,
-                    wants[i].bytes);
-    // Every fetch must land before the decode (the plan needs all of
-    // them) and before ANY mutation. A budget-denied hedge leaves
-    // hedged[i] unset so a later deadline may retry.
-    fetches.await([](const std::vector<size_t>&) { return false; },
-                  [&](const std::vector<size_t>& pending) {
-                    for (size_t i : pending) {
-                      if (hedged[i]) continue;
-                      hedged[i] = fetches.fetch(i, 0.0, fetch(i),
-                                                /*hedge=*/true,
-                                                wants[i].bytes);
-                    }
-                  });
-    fetches.join();
-    fetches.rethrow_any_failure();
-
-    bool replan = false;
-    for (size_t i = 0; i < wants.size(); ++i) {
-      const Want& w = wants[i];
-      const SegmentFetch& got = landing[i].got;
-      if (got.status == FetchStatus::kOk) {
-        for (size_t j = 0; j < w.segs.size(); ++j)
-          staged.put(w.block, w.segs[j], got.segments[j]);
-        continue;
-      }
-      // Gone (a concurrent quarantine or kill) or corrupt: drop the block
-      // from this read. A mismatch also quarantines it so no later caller
-      // trusts it either.
-      replan = dropped[w.block] = true;
-      if (got.status == FetchStatus::kCorrupt &&
-          quarantine_if_corrupt(id, w.block, got.bad_segment))
-        corrupt.push_back(w.block);
-    }
-    if (replan) continue;
-    out.emplace(length);
-    decode_staged(*plan, chunk, offset, offset + length, staged, out->data());
-    break;
-  }
-  if (!corrupt.empty())
-    counters_.degraded_reads.fetch_add(1, std::memory_order_relaxed);
-
-  // Self-heal: rebuild what the read quarantined, so the NEXT read is
-  // clean. Plans come from the store's pinned pattern map. The nofault
-  // form heals too: the repair draws its own gather + write-fault
-  // schedule, but only when this read found corruption — a property of
-  // the stored bytes, not of timing.
-  for (size_t b : corrupt) self_heal(id, b);
-  return out;
-}
+// One window batch: file bytes [lo, hi) and, per plan slot, the segments
+// this batch fetches (empty: staged or claimed already) and the landing
+// that receives them, under one FetchSet keyed by slot.
+struct FileStore::Batch {
+  size_t lo = 0, hi = 0;
+  std::vector<std::vector<size_t>> segs;
+  std::vector<std::unique_ptr<FetchLanding>> landing;
+  std::unique_ptr<io::FetchSet> fetches = std::make_unique<io::FetchSet>();
+};
 
 FileStore::ReadSession FileStore::begin_verified_read(FileId id) {
-  counters_.verified_reads.fetch_add(1, std::memory_order_relaxed);
   ReadSession session;
   std::shared_lock<std::shared_mutex> lock(mu_);
   GALLOPER_CHECK(id < files_.size());
-  session.block_bytes = file_block_bytes_[id];
   session.available = available_blocks_locked(id);
+  session.generations = block_gens_[id];
+  session.block_bytes = file_block_bytes_[id];
   return session;
+}
+
+std::optional<Buffer> FileStore::read_range(FileId id, size_t offset,
+                                            size_t length) {
+  RangeRead read = open_read(id, offset, length);
+  return finish_read(read, code_.engine().num_chunks(), /*depth=*/1);
+}
+
+FileStore::RangeRead FileStore::open_read(FileId id, size_t offset,
+                                          size_t length) {
+  RangeRead r;
+  r.id_ = id;
+  r.offset_ = offset;
+  r.length_ = length;
+  r.session_ = begin_verified_read(id);
+  const size_t bbytes = r.session_.block_bytes;
+  const size_t chunk = bbytes / code_.engine().stripes_per_block();
+  const size_t fbytes = code_.engine().num_chunks() * chunk;
+  GALLOPER_CHECK_MSG(offset + length <= fbytes,
+                     "range [" << offset << ", " << offset + length
+                               << ") beyond file size " << fbytes);
+  if (length == 0) return r;
+  auto plan = code_.engine().plan_decode_fast(r.session_.available);
+  if (!rows_solvable(*plan, chunk, offset, offset + length)) return r;
+
+  // Stage what the cache holds at the snapshot generations: a mutation
+  // since bumps a generation, so a hit is a segment that was current when
+  // this read began — the guarantee any read has.
+  r.plan_ = std::move(plan);
+  r.staged_ = StagedSegments(code_.num_blocks(), bbytes);
+  client::BlockCache* cache = cache_enabled();
+  const auto need =
+      plan_source_segments(*r.plan_, chunk, offset, offset + length);
+  for (size_t slot = 0; slot < need.size(); ++slot) {
+    const size_t b = r.plan_->source_blocks()[slot];
+    for (size_t g : need[slot]) {
+      Segment hit = cache ? cache->get(cache_uid_, id, b, g,
+                                       r.session_.generations[b])
+                          : nullptr;
+      if (hit == nullptr) {
+        r.needs_fetch_ = true;
+      } else {
+        r.staged_.put(b, g, std::move(hit));
+      }
+    }
+  }
+  return r;
+}
+
+std::optional<Buffer> FileStore::finish_read(RangeRead& r,
+                                             size_t batch_chunks,
+                                             size_t depth) {
+  GALLOPER_CHECK(batch_chunks >= 1 && depth >= 1);
+  if (r.length_ == 0) return Buffer();
+  if (r.plan_ == nullptr) return std::nullopt;
+  const FileId id = r.id_;
+  const size_t lo = r.offset_, hi = r.offset_ + r.length_;
+  const size_t bbytes = r.session_.block_bytes;
+  const size_t chunk = bbytes / code_.engine().stripes_per_block();
+  const size_t n = code_.num_blocks();
+  StagedSegments& staged = r.staged_;
+  std::shared_ptr<const codes::CodecPlan> plan = r.plan_;
+  std::optional<Buffer> out(std::in_place, r.length_);
+  if (!r.needs_fetch_) {
+    decode_staged(*plan, chunk, lo, hi, staged, out->data());
+    return out;
+  }
+  counters_.verified_reads.fetch_add(1, std::memory_order_relaxed);
+  client::BlockCache* cache = cache_enabled();
+
+  std::vector<std::pair<size_t, size_t>> spans;  // batch [lo, hi)
+  for (size_t c = lo / chunk; c * chunk < hi; c += batch_chunks)
+    spans.emplace_back(std::max(lo, c * chunk),
+                       std::min(hi, (c + batch_chunks) * chunk));
+
+  // claimed[b][g]: staged, or in flight in the window — a segment is
+  // fetched and verified at most once per read, by the first batch that
+  // reads it, and later batches decode from the same copy.
+  const size_t nseg = segment_count(bbytes);
+  std::vector<std::vector<bool>> claimed(n, std::vector<bool>(nseg));
+  const auto reset_claims = [&] {
+    for (size_t b = 0; b < n; ++b)
+      for (size_t g = 0; g < nseg; ++g) claimed[b][g] = staged.has(b, g);
+  };
+  reset_claims();
+  std::vector<bool> dropped(n, false);
+  std::vector<size_t> corrupt;  // blocks this read quarantined
+  bool pinned = false;          // no draws, stall-free fetches
+  bool replan = false;
+
+  const auto segment_bytes = [&](const std::vector<size_t>& segs) {
+    size_t total = 0;
+    for (size_t g : segs) total += segment_size(bbytes, g);
+    return total;
+  };
+  // The body a slot's primary fetch and its hedged re-fetch share.
+  const auto fetch_body = [&](Batch& f, size_t s) {
+    return [this, id, b = plan->source_blocks()[s], segs = f.segs[s],
+            l = f.landing[s].get()] {
+      if (injector_) injector_->crash_point("store.fetch");
+      SegmentFetch got = fetch_segments(id, b, segs);
+      const bool ok = got.status == FetchStatus::kOk;
+      std::lock_guard<std::mutex> lock(l->mu);
+      if (!l->filled) {
+        l->got = std::move(got);
+        l->filled = true;
+      }
+      return ok;
+    };
+  };
+
+  // Starting a batch: per plan slot, the segments no batch has claimed,
+  // then the fault schedule of the fetches it issues, drawn here in slot
+  // order — a block whose reads keep failing is dropped before anything
+  // of the batch is submitted — then one fetch per slot.
+  const auto start = [&](size_t i) {
+    Batch f;
+    std::tie(f.lo, f.hi) = spans[i];
+    const std::vector<size_t>& blocks = plan->source_blocks();
+    f.segs = plan_source_segments(*plan, chunk, f.lo, f.hi);
+    f.landing.resize(blocks.size());
+    std::vector<double> stall(blocks.size(), 0.0);
+    for (size_t s = 0; s < blocks.size(); ++s) {
+      std::vector<bool>& mine = claimed[blocks[s]];
+      std::erase_if(f.segs[s], [&](size_t g) {
+        if (mine[g]) return true;
+        mine[g] = true;
+        return false;
+      });
+      if (f.segs[s].empty() || pinned) continue;
+      const std::optional<double> stall_s = draw_fetch();
+      if (!stall_s) {
+        replan = dropped[blocks[s]] = true;
+        return f;
+      }
+      stall[s] = *stall_s;
+    }
+    for (size_t s = 0; s < blocks.size(); ++s) {
+      if (f.segs[s].empty()) continue;
+      f.landing[s] = std::make_unique<FetchLanding>();
+      f.fetches->fetch(s, stall[s], fetch_body(f, s), /*hedge=*/false,
+                       segment_bytes(f.segs[s]));
+    }
+    return f;
+  };
+
+  // Landing a joined batch: verified segments are staged (and cached at
+  // the generation they were verified under); a gone or corrupt block is
+  // dropped from the read, and a corrupt one quarantined so no later
+  // caller trusts it either. Nothing unverified is ever staged or cached.
+  const auto land = [&](Batch& f) {
+    for (size_t s = 0; s < f.segs.size(); ++s) {
+      const std::unique_ptr<FetchLanding> l = std::move(f.landing[s]);
+      if (l == nullptr || !l->filled) continue;  // none, or cancelled
+      const size_t b = plan->source_blocks()[s];
+      const SegmentFetch& got = l->got;
+      if (got.status == FetchStatus::kOk) {
+        for (size_t j = 0; j < f.segs[s].size(); ++j) {
+          if (cache)
+            cache->put(cache_uid_, id, b, f.segs[s][j], got.generation,
+                       got.segments[j]);
+          staged.put(b, f.segs[s][j], got.segments[j]);
+        }
+        continue;
+      }
+      replan = dropped[b] = true;
+      if (got.status == FetchStatus::kCorrupt &&
+          quarantine_if_corrupt(id, b, got.bad_segment))
+        corrupt.push_back(b);
+    }
+  };
+
+  // The window: up to `depth` batches in flight on the I/O pool while the
+  // caller decodes the oldest, in order, straight into `out`. Each await
+  // is exhaustive; a slot still parked in its injected stall at the hedge
+  // deadline is re-fetched stall-free (a budget-denied hedge leaves
+  // hedged[s] unset, as if it never fired). Every fetch lands before any
+  // mutation: quarantine happens only in land(), after the join. Every
+  // batch in the window was started under `plan` (a replan empties the
+  // window first). On a throw, ~FetchSet cancels and joins whatever is
+  // still in flight.
+  std::deque<Batch> window;
+  size_t next = 0, done = 0;  // batches started / decoded
+  while (done < spans.size()) {
+    if (!replan && next < spans.size() && window.size() < depth) {
+      window.push_back(start(next++));
+      continue;
+    }
+    if (!replan) {
+      Batch& f = window.front();
+      std::vector<bool> hedged(f.segs.size(), false);
+      f.fetches->await(
+          [](const std::vector<size_t>&) { return false; },
+          [&](const std::vector<size_t>& pending) {
+            for (size_t s : pending) {
+              if (hedged[s]) continue;
+              hedged[s] = f.fetches->fetch(s, 0.0, fetch_body(f, s),
+                                           /*hedge=*/true,
+                                           segment_bytes(f.segs[s]));
+            }
+          });
+      f.fetches->join();
+      f.fetches->rethrow_any_failure();
+      land(f);
+      if (!replan) {
+        decode_staged(*plan, chunk, f.lo, f.hi, staged,
+                      out->data() + (f.lo - lo));
+        window.pop_front();
+        ++done;
+        ++r.batches_;
+        continue;
+      }
+    }
+    // Replan: settle the window (keeping whatever verified), then plan
+    // over the blocks still available to this read and restart from the
+    // first batch not yet decoded. Each replan drops at least one block,
+    // so a read replans fewer than n times.
+    for (Batch& f : window) {
+      f.fetches->cancel_and_join();
+      f.fetches->rethrow_any_failure();
+      land(f);
+    }
+    window.clear();
+    r.replanned_ = pinned = true;
+    replan = false;
+    std::vector<size_t> available = begin_verified_read(id).available;
+    std::erase_if(available, [&](size_t b) { return dropped[b]; });
+    plan = code_.engine().plan_decode_fast(available);
+    if (!rows_solvable(*plan, chunk, spans[done].first, hi)) {
+      out.reset();
+      break;
+    }
+    reset_claims();
+    next = done;
+  }
+  if (!corrupt.empty())
+    counters_.degraded_reads.fetch_add(1, std::memory_order_relaxed);
+  if (r.replanned_)
+    counters_.replanned_reads.fetch_add(1, std::memory_order_relaxed);
+
+  // Self-heal: rebuild what the read quarantined, so the NEXT read is
+  // clean. Plans come from the store's pinned pattern map; the repair
+  // draws its own schedule, but only when this read found corruption — a
+  // property of the stored bytes, not of timing.
+  for (size_t b : corrupt) self_heal(id, b);
+  return out;
 }
 
 std::shared_ptr<const codes::CodecPlan> FileStore::pinned_repair_plan(

@@ -14,13 +14,13 @@
 //
 // Verification: every block carries one CRC-32C per 64 KiB segment
 // (store/segments.h), recorded at write time. Reads are range-proportional:
-// they plan their decode first, then fetch through fetch_segments — the one
-// verified fetch primitive — exactly the segments the plan's sources read,
-// and decode from those verified copies. A corrupt segment is quarantined
-// with its whole block and the read replans around it. Corruption outside a
-// read's sources is, deliberately, not that read's business: scrub() (or a
-// later read that covers it) finds it. Scrub, update_range and repair check
-// every segment of every block they touch.
+// one read core plans its decode first, then fetches through fetch_segments
+// — the one verified fetch primitive — exactly the segments the plan's
+// sources read, and decodes from those verified copies. A corrupt segment
+// is quarantined with its whole block and the read replans around it.
+// Corruption outside a read's sources is, deliberately, not that read's
+// business: scrub() (or a later read that covers it) finds it. Scrub,
+// update_range and repair check every segment of every block they touch.
 //
 // Thread safety: the data paths (write/read/read_range/update_range/repair/
 // scrub and the client-session API) may run concurrently from many client
@@ -115,13 +115,14 @@ class FileStore {
   //  - every block carries a GENERATION, bumped under the exclusive lock by
   //    every mutation or quarantine (update install, repair install, CRC
   //    quarantine, fail_server) — and each bump also drops the cache entry;
-  //  - entries are verified SEGMENTS: cache fills come from fetch_segments,
-  //    which verifies and copies the segments and reads the generation
-  //    under ONE shared-lock hold, so an entry is keyed by a generation
-  //    that was provably current when its bytes were verified;
-  //  - read_range probes the cache first (read_range_cached) and serves
-  //    entirely from current-generation verified segments when they hold
-  //    every source segment of the range's plan — no fetches, no I/O pool.
+  //  - entries are verified SEGMENTS: the read core fills the cache from
+  //    fetch_segments, which verifies and copies the segments and reads the
+  //    generation under ONE shared-lock hold, so an entry is keyed by a
+  //    generation that was provably current when its bytes were verified;
+  //  - the read core's open step stages every source segment of its plan
+  //    that the cache holds at the generations it snapshotted, and a read
+  //    whose sources are all staged there is served with no fetch, no fault
+  //    draw and no I/O pool.
   // corrupt_block() deliberately does NOT bump: silent corruption doesn't
   // change the block's logical content, and the cached bytes are exactly
   // what a verified read would reconstruct.
@@ -134,42 +135,8 @@ class FileStore {
   // Process-unique id this store keys its cache entries with.
   uint64_t cache_uid() const { return cache_uid_; }
 
-  // Current generation of one block / of every block of a file.
+  // Current generation of one block.
   uint64_t block_generation(FileId id, size_t block) const;
-  std::vector<uint64_t> block_generations(FileId id) const;
-
-  // Serves [offset, offset + length) purely from current-generation cached
-  // segments when they hold every source segment of the range's decode
-  // plan (over the available blocks). nullopt when the cache cannot fully
-  // serve (caller falls through to the real read path). Never touches the
-  // I/O pool or the fault injector.
-  std::optional<Buffer> read_range_cached(FileId id, size_t offset,
-                                          size_t length);
-
-  // ---- The verified fetch primitive ---------------------------------------
-
-  enum class FetchStatus { kOk, kGone, kCorrupt };
-  struct SegmentFetch {
-    FetchStatus status = FetchStatus::kGone;
-    uint64_t generation = 0;        // block generation the copies were read at
-    std::vector<Segment> segments;  // kOk: one copy per requested segment
-    size_t bad_segment = 0;         // kCorrupt: the first mismatching segment
-  };
-  // Under the shared lock: copies block b's segments `segs` (sorted ids),
-  // CRC-checks each copy against its write-time checksum, and returns the
-  // copies with the generation they were read at. kGone when the block is
-  // lost or its server is dead; kCorrupt (no copies) when a segment fails
-  // its checksum — the caller quarantines. Counts the checked bytes in
-  // ReadStats::verified_bytes. Every read path fetches through this.
-  SegmentFetch fetch_segments(FileId id, size_t b,
-                              const std::vector<size_t>& segs) const;
-
-  // The fault schedule of ONE block fetch, drawn on the calling thread:
-  // the injected stall (seconds, 0 when none), then the transient read
-  // faults, retried in place up to three tries (each failure counted in
-  // ReadStats::transient_faults). nullopt when every try failed — the
-  // block is unreadable for this fetch. No injector: always 0.
-  std::optional<double> draw_fetch();
 
   // Encodes and stores a file. Size must be a positive multiple of the
   // code's chunk count.
@@ -191,8 +158,8 @@ class FileStore {
   // The block contents as stored (nullopt if its server is dead or the
   // block was lost). Block b of every file lives on server_of(b). The returned
   // span is only stable while no concurrent operation quarantines or
-  // rewrites the block — concurrent callers use fetch_segments, which
-  // copies under the lock.
+  // rewrites the block — concurrent callers use the verified reads, which
+  // copy under the lock.
   std::optional<ConstByteSpan> block(FileId id, size_t block) const;
 
   // Whether the server holding `block` is alive and still has the bytes.
@@ -233,58 +200,86 @@ class FileStore {
   // ---- Self-healing degraded reads --------------------------------------
 
   struct ReadStats {
-    size_t verified_reads = 0;  // read_range calls + client read sessions
+    size_t verified_reads = 0;  // ranged and split reads that fetched
     size_t verified_bytes = 0;  // bytes CRC-checked by read paths
     size_t crc_failures = 0;    // blocks that failed their CRC on read
     size_t degraded_reads = 0;  // reads that decoded around a corrupt block
     size_t transient_faults = 0;  // injected read faults retried in place
     size_t auto_repairs = 0;    // corrupt blocks rebuilt by a read
+    size_t replanned_reads = 0;  // ranged reads that dropped a block mid-read
   };
   // Snapshot by value — safe to call while reads are in flight.
   ReadStats read_stats() const;
 
-  // Verified read of bytes [offset, offset + length) of the original file.
-  // Plans decode_fast over the available blocks first, then fetches —
-  // concurrently, on the async I/O pool — only the segments of the plan
-  // sources that the covered rows read, each CRC-checked against its
-  // write-time checksum, and decodes from those verified copies. A fetch
-  // still pending at the hedge deadline is re-issued on a second path
-  // (io::AsyncIo hedging). A block with a corrupt segment is quarantined
-  // and the read replans over the healthy blocks (a DEGRADED read — same
-  // bytes, more arithmetic); quarantined blocks are then rebuilt in place
-  // via the pinned repair plans, so the next read is clean again. nullopt
-  // only if the healthy blocks cannot reconstruct the range.
+  // Verified read of bytes [offset, offset + length) of the original file:
+  // the read core below with the whole range as one batch. nullopt only if
+  // the healthy blocks cannot reconstruct the range.
   std::optional<Buffer> read_range(FileId id, size_t offset, size_t length);
 
-  // read_range with the FETCH schedule pinned: its fetches draw no latency
-  // and no transient-fault rolls, while keeping the verified-read
-  // semantics — segment CRCs, quarantine, degraded decode, self-heal. This
-  // is the pipelined client's fallback path: a client that falls back here
-  // already drew (and served) this read's fetch schedule through its batch
-  // fetches, and drawing a SECOND one for the retry would make the
-  // process-wide seeded fault sequence depend on race timing. A block this
-  // path quarantines is rebuilt in place like read_range does, and that
-  // repair draws its own schedule, as every repair does. The client relies
-  // on it: a read session does not probe its stripe, so this fallback is
-  // where a corrupt block the client met gets healed.
-  std::optional<Buffer> read_range_nofault(FileId id, size_t offset,
-                                           size_t length);
-
-  // ---- Client read sessions ----------------------------------------------
+  // ---- The read core ------------------------------------------------------
   //
-  // A pipelined client plans its streamed read once: begin_verified_read
-  // snapshots the available set, which keys the decode plan for the whole
-  // stream. It draws no fault and checks no checksum — the batches draw
-  // (draw_fetch) and verify (fetch_segments) exactly the fetches they
-  // issue. A kGone or kCorrupt fetch, or an unreadable block, ends the
-  // stream: the client falls back to read_range_nofault, which
-  // quarantines, replans and heals.
+  // Every verified ranged read — read_range and the pipelined
+  // client::StripedReader — runs this one plan→fetch→verify→decode loop, in
+  // two steps:
+  //  - open_read snapshots the available set and the block generations
+  //    (begin_verified_read), plans decode_fast over that set once, and
+  //    stages the plan's source segments the block cache holds at the
+  //    snapshot generations. It draws no fault and touches no I/O pool;
+  //  - finish_read splits the range into batches of `batch_chunks` stripe
+  //    chunks and keeps up to `depth` of them in flight on the async I/O
+  //    pool, decoding the oldest in order. Per batch, ONE fetch per plan
+  //    slot verifies the segments not yet staged (fetch_segments); a fetch
+  //    still pending at the hedge deadline is re-issued stall-free on a
+  //    second path, first result wins.
+  // A gone (concurrent quarantine or kill), unreadable (injected read
+  // faults that kept failing) or corrupt fetch drops its block from the
+  // read — a corrupt one is also quarantined — and the read REPLANS in the
+  // same call over the remaining blocks, keeping every segment it already
+  // verified (a DEGRADED read: same bytes, more arithmetic). Blocks the
+  // read quarantined are then rebuilt in place via the pinned repair plans,
+  // so the next read is clean again.
+  //
+  // Fault draws: a read draws one fetch schedule (draw_fetch) per fetch it
+  // issues, on the calling thread in batch and slot order, until its first
+  // replan; after it the read is PINNED — no draws, stall-free fetches —
+  // so the seeded fault sequence never depends on whether a race hit. Only
+  // the self-heal repair draws its own schedule, as every repair does.
+  // Hedges and cache hits draw nothing.
 
   struct ReadSession {
     std::vector<size_t> available;  // sorted block ids the session may read
+    std::vector<uint64_t> generations;  // every block's, at the snapshot
     size_t block_bytes = 0;
   };
+  // The open step's snapshot, taken under one shared-lock hold.
   ReadSession begin_verified_read(FileId id);
+
+  // One ranged read between its two steps.
+  class RangeRead {
+   public:
+    // False when finish_read has nothing to fetch: an empty range, one the
+    // available blocks cannot reconstruct, or one the cache fully staged.
+    bool needs_fetch() const { return needs_fetch_; }
+    // Set by finish_read: batches fetched and decoded, and whether a gone,
+    // unreadable or corrupt fetch made the read replan.
+    size_t batches() const { return batches_; }
+    bool replanned() const { return replanned_; }
+
+   private:
+    friend class FileStore;
+    FileId id_ = 0;
+    size_t offset_ = 0, length_ = 0;
+    ReadSession session_;
+    std::shared_ptr<const codes::CodecPlan> plan_;  // null: unreconstructable
+    StagedSegments staged_{0, 0};
+    bool needs_fetch_ = false;
+    size_t batches_ = 0;
+    bool replanned_ = false;
+  };
+  RangeRead open_read(FileId id, size_t offset, size_t length);
+  // Requires batch_chunks >= 1 and depth >= 1.
+  std::optional<Buffer> finish_read(RangeRead& read, size_t batch_chunks,
+                                    size_t depth);
 
   // Overwrites the chunk-aligned range [offset, offset + data.size()) of
   // the original file in place, patching parity via deltas and refreshing
@@ -368,9 +363,8 @@ class FileStore {
   std::optional<ConstByteSpan> block_locked(FileId id, size_t b) const;
   bool block_available_locked(FileId id, size_t b) const;
   std::vector<size_t> available_blocks_locked(FileId id) const;
-  // Checks that [offset, offset + length) lies inside file id; returns the
-  // file's block size.
-  size_t checked_range_locked(FileId id, size_t offset, size_t length) const;
+  // The attached block cache when it is enabled, else null.
+  client::BlockCache* cache_enabled() const;
   // Looks up / compiles-and-pins the repair plan for (block, sorted
   // helpers) under plans_mu_.
   std::shared_ptr<const codes::CodecPlan> pinned_repair_plan(
@@ -390,10 +384,33 @@ class FileStore {
   bool quarantine_if_corrupt(FileId id, size_t b, size_t seg);
   // Rebuilds a block a read quarantined (nothing if its server is dead).
   void self_heal(FileId id, size_t b);
-  // Shared body of read_range/read_range_nofault: `draw_faults` gates the
-  // fetches' injector draws (latency, transient faults).
-  std::optional<Buffer> read_range_impl(FileId id, size_t offset,
-                                        size_t length, bool draw_faults);
+
+  // ---- The verified fetch primitive ---------------------------------------
+
+  enum class FetchStatus { kOk, kGone, kCorrupt };
+  struct SegmentFetch {
+    FetchStatus status = FetchStatus::kGone;
+    uint64_t generation = 0;        // block generation the copies were read at
+    std::vector<Segment> segments;  // kOk: one copy per requested segment
+    size_t bad_segment = 0;         // kCorrupt: the first mismatching segment
+  };
+  // Under the shared lock: copies block b's segments `segs` (sorted ids),
+  // CRC-checks each copy against its write-time checksum, and returns the
+  // copies with the generation they were read at. kGone when the block is
+  // lost or its server is dead; kCorrupt (no copies) when a segment fails
+  // its checksum — the caller quarantines. Counts the checked bytes in
+  // ReadStats::verified_bytes. Every read path fetches through this.
+  SegmentFetch fetch_segments(FileId id, size_t b,
+                              const std::vector<size_t>& segs) const;
+  // The fault schedule of ONE block fetch, drawn on the calling thread:
+  // the injected stall (seconds, 0 when none), then the transient read
+  // faults, retried in place up to three tries (each failure counted in
+  // ReadStats::transient_faults). nullopt when every try failed — the
+  // block is unreadable for this fetch. No injector: always 0.
+  std::optional<double> draw_fetch();
+  // finish_read's per-fetch landing and window batch (file_store.cc).
+  struct FetchLanding;
+  struct Batch;
 
   sim::Cluster& cluster_;
   const codes::ErasureCode& code_;
@@ -408,6 +425,7 @@ class FileStore {
     std::atomic<size_t> degraded_reads{0};
     std::atomic<size_t> transient_faults{0};
     std::atomic<size_t> auto_repairs{0};
+    std::atomic<size_t> replanned_reads{0};
   };
   mutable ReadCounters counters_;
 

@@ -36,9 +36,8 @@ inline size_t segment_size(size_t block_bytes, size_t g) {
 // decode can hold the same bytes.
 using Segment = std::shared_ptr<const Buffer>;
 
-// The verified segments one read has staged, per block id. The slots are
-// allocated up front, so threads may put and read DIFFERENT segments
-// concurrently (the pipelined client's fetch and decode stages do).
+// The verified segments one read has staged, per block id, allocated up
+// front for every segment of every block.
 class StagedSegments {
  public:
   StagedSegments(size_t num_blocks, size_t block_bytes)

@@ -71,9 +71,9 @@ TEST(StripedReaderTest, BitIdenticalToDirectReads) {
 }
 
 // A corrupt block must not change the delivered bytes: the batch fetch
-// that reads it fails its segment check, and the stream falls back to the
-// direct read, which quarantines the block, decodes around it and
-// rebuilds it, so the stripe is whole again for the next reader.
+// that reads it fails its segment check, and the read quarantines the
+// block, replans around it, decodes degraded and rebuilds it, so the
+// stripe is whole again for the next reader.
 TEST(StripedReaderTest, DegradedReadIsBitIdentical) {
   core::GalloperCode code(4, 2, 2);
   sim::Simulation sim;
@@ -119,23 +119,29 @@ TEST(StripedReaderTest, StalledHelpersStillBitIdentical) {
   }
 }
 
-// The stale-session fallback must keep the fault schedule PINNED: the
-// pipelined attempt already drew (and served) its injector decisions, and
-// the fallback direct read must not re-draw a fresh schedule — if it did,
-// the process-wide seeded fault sequence would depend on whether the
-// quarantine race hit, and degraded chaos runs would stop replaying
-// deterministically. Regression for the bug where the fallback went
-// through the fault-drawing read_range.
+// The read core's two entry points.
+enum class Entry { kStripedReader, kReadRange };
+
+class StripedReaderTest : public ::testing::TestWithParam<Entry> {};
+
+// A read that replans around a block lost mid-read must keep the fault
+// schedule PINNED: it already drew (and served) its injector decisions for
+// the fetches it issued, and the replanned fetches must not draw a fresh
+// schedule — if they did, the process-wide seeded fault sequence would
+// depend on whether the quarantine race hit, and degraded chaos runs would
+// stop replaying deterministically. Regression for the client bug where
+// the fallback went through the fault-drawing read_range, and for direct
+// read_range, which drew again for blocks first fetched after a replan.
 //
-// Shape of the race: a single-batch read takes a read session, then every
-// batch fetch parks in an injected stall; a chaos thread quarantines a
-// block inside that window, the parked fetch sees the block gone, and the
-// session goes stale → fallback. A clean read and a clean-session-then-
-// stale read draw IDENTICAL decision counts (one draw_fetch per fetched
-// slot, all spent before staleness is detected), so on a fallback
-// iteration the delta must equal the clean baseline exactly — any extra
-// draw is the fallback re-drawing.
-TEST(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
+// Shape of the race: a single-batch read of one chunk the victim block
+// stores opens, then its fetch parks in an injected stall; a chaos thread
+// quarantines the victim inside that window, the parked fetch sees the
+// block gone, and the read replans onto blocks it has not fetched yet. A
+// clean read and a read that replans draw IDENTICAL decision counts (one
+// draw_fetch per fetched slot, all spent before the loss is detected), so
+// on a replanned iteration the delta must equal the clean baseline exactly
+// — any extra draw is the replan drawing for its new fetches.
+TEST_P(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
   core::GalloperCode code(4, 2, 1);
   sim::Simulation sim;
   sim::Cluster cluster(sim, code.num_blocks() + 2, sim::ServerSpec{});
@@ -152,35 +158,49 @@ TEST(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
   ReaderOptions opt;
   opt.batch_chunks = code.engine().num_chunks();  // one batch: fixed draws
   StripedReader reader(fs, opt);
+  const size_t victim = 1;  // a data block: always fetched by the batch
+  size_t first = 0;         // the first chunk the victim stores
+  while (code.engine().chunk_positions()[first].block != victim) ++first;
+  const Buffer want(file.begin() + first * chunk,
+                    file.begin() + (first + 1) * chunk);
+  const bool direct = GetParam() == Entry::kReadRange;
+  const auto read = [&] {
+    return direct ? fs.read_range(id, first * chunk, chunk)
+                  : reader.read_range(id, first * chunk, chunk);
+  };
+  // Reads that replanned around a block lost mid-read, as each entry
+  // point reports them.
+  const auto replans = [&]() -> uint64_t {
+    return direct ? fs.read_stats().replanned_reads : client_stats().fallbacks;
+  };
 
   // Baseline: decisions one clean read consumes.
   const uint64_t d0 = inj.stats().decisions;
   {
-    const auto out = reader.read_range(id, 0, file.size());
+    const auto out = read();
     ASSERT_TRUE(out.has_value());
-    ASSERT_EQ(*out, file);
+    ASSERT_EQ(*out, want);
   }
   const uint64_t clean_draws = inj.stats().decisions - d0;
 
-  const size_t victim = 1;  // a data block: always fetched by the batch
   bool hit = false;
   for (int iter = 0; iter < 400 && !hit; ++iter) {
-    const uint64_t fallbacks_before = client_stats().fallbacks;
+    const uint64_t fallbacks_before = replans();
     const uint64_t before = inj.stats().decisions;
     std::thread chaos([&, iter] {
       // Sweep the quarantine across the read's timeline so some iteration
-      // lands it between the session and the parked batch fetch.
+      // lands it between the open step and the parked fetch.
       std::this_thread::sleep_for(
           std::chrono::microseconds(100 * (iter % 60)));
       fs.corrupt_block(id, victim, 0);
       fs.scrub(/*quarantine=*/true);
     });
-    const auto out = reader.read_range(id, 0, file.size());
+    const auto out = read();
     chaos.join();
     const uint64_t delta = inj.stats().decisions - before;
     ASSERT_TRUE(out.has_value());
-    ASSERT_EQ(*out, file) << "iter " << iter;
-    if (client_stats().fallbacks > fallbacks_before) {
+    ASSERT_EQ(*out, want) << "iter " << iter;
+    if (replans() > fallbacks_before) {
       hit = true;
       EXPECT_EQ(delta, clean_draws)
           << "the fallback re-drew injector decisions instead of keeping "
@@ -193,6 +213,44 @@ TEST(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
   }
   EXPECT_TRUE(hit) << "quarantine race never produced a stale session";
   fs.set_fault_injector(nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EntryPoints, StripedReaderTest,
+    ::testing::Values(Entry::kStripedReader, Entry::kReadRange),
+    [](const ::testing::TestParamInfo<Entry>& info) {
+      return info.param == Entry::kStripedReader ? "StripedReader"
+                                                 : "FileStoreReadRange";
+    });
+
+// A pipelined read that meets a corrupt block replans inside the read
+// core: it counts as ONE verified read (not a client session plus a
+// fallback read) and one client fallback, and it still heals the block.
+TEST(StripedReaderTest, ReplannedReadCountsOneVerifiedRead) {
+  core::GalloperCode code(4, 2, 2);
+  sim::Simulation sim;
+  sim::Cluster cluster(sim, code.num_blocks() + 2, sim::ServerSpec{});
+  store::FileStore fs(cluster, code);
+  fs.set_block_cache(nullptr);
+  Rng rng(17);
+  const size_t chunk = 128;
+  const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const store::FileId id = fs.write(file);
+  fs.corrupt_block(id, 1, 5);
+
+  StripedReader reader(fs);
+  const uint64_t fallbacks = client_stats().fallbacks;
+  const store::FileStore::ReadStats before = fs.read_stats();
+  const auto got = reader.read_range(id, 0, file.size());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, file);
+  const store::FileStore::ReadStats after = fs.read_stats();
+  EXPECT_EQ(client_stats().fallbacks, fallbacks + 1);
+  EXPECT_EQ(after.verified_reads, before.verified_reads + 1);
+  EXPECT_EQ(after.replanned_reads, before.replanned_reads + 1);
+  EXPECT_EQ(after.crc_failures, before.crc_failures + 1);
+  EXPECT_EQ(after.auto_repairs, before.auto_repairs + 1);
+  EXPECT_TRUE(fs.lost_blocks(id).empty());
 }
 
 // The pipelined writer commits through write_encoded, which replays the

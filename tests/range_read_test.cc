@@ -4,11 +4,15 @@
 // lengths from 1 byte to the whole file — over block sizes that are not
 // multiples of the segment size, with the block cache on and off, 0/1/2
 // lost blocks, and one flipped byte inside or outside the read's plan
-// sources. Reads verify only the segments they decode from, so:
-//  - a flip INSIDE the sources: the bytes are exact, CRC failures go up by
-//    exactly one, and the block self-heals (available again, scrub clean) —
-//    unless every source segment was already cached, in which case the
-//    cache serves the verified bytes and the flip is left to scrub;
+// sources, read through each entry point of the read core: direct
+// FileStore::read_range, the pipelined StripedReader, and a StripedReader
+// with one chunk per batch, whose multi-batch windows replan mid-stream.
+// Reads verify only the segments they fetch, so:
+//  - a flip INSIDE the fetched sources: the bytes are exact, CRC failures
+//    go up by exactly one, and the block self-heals (available again,
+//    scrub clean). Source segments the cache already holds are served
+//    from it, verified when inserted; when it holds all of them the read
+//    fetches nothing and the flip is left to scrub;
 //  - a flip OUTSIDE the sources: the read is clean, the block is untouched
 //    (still available, same generation), and the next scrub() reports it.
 #include <gtest/gtest.h>
@@ -32,17 +36,20 @@ using galloper::Buffer;
 using galloper::Rng;
 using galloper::random_buffer;
 
-// chunk bytes × cache on × lost blocks. The chunk sizes give blocks
-// smaller than one segment, blocks of a few segments with chunk boundaries
-// off the segment grid, and chunks longer than a segment.
-using Param = std::tuple<size_t, bool, size_t>;
+// The reader under test.
+enum class Reader { kDirect, kStriped, kStripedBatch1 };
+
+// chunk bytes × cache on × lost blocks × reader. The chunk sizes give
+// blocks smaller than one segment, blocks of a few segments with chunk
+// boundaries off the segment grid, and chunks longer than a segment.
+using Param = std::tuple<size_t, bool, size_t, Reader>;
 
 class RangeReadTest : public ::testing::TestWithParam<Param> {};
 
 enum class Flip { kNone, kInside, kOutside };
 
 TEST_P(RangeReadTest, MatchesMirrorAndFindsExactlyTheFlipsItReads) {
-  const auto [chunk, cache_on, lost] = GetParam();
+  const auto [chunk, cache_on, lost, which] = GetParam();
   core::GalloperCode code(4, 2, 2);
   const codes::CodecEngine& eng = code.engine();
   client::BlockCache cache(8 << 20, /*shards=*/2);  // outlives the store
@@ -103,6 +110,19 @@ TEST_P(RangeReadTest, MatchesMirrorAndFindsExactlyTheFlipsItReads) {
   };
 
   client::StripedReader reader(fs);
+  client::ReaderOptions one_chunk;
+  one_chunk.batch_chunks = 1;
+  client::StripedReader batch1(fs, one_chunk);
+  const auto read = [&](size_t off, size_t len) {
+    switch (which) {
+      case Reader::kDirect:
+        return fs.read_range(id, off, len);
+      case Reader::kStriped:
+        return reader.read_range(id, off, len);
+      default:
+        return batch1.read_range(id, off, len);
+    }
+  };
   for (size_t trial = 0; trial < 30; ++trial) {
     // A pipelined read first: it fills the cache (when on) with verified
     // segments that later reads may be served from.
@@ -123,25 +143,30 @@ TEST_P(RangeReadTest, MatchesMirrorAndFindsExactlyTheFlipsItReads) {
           return std::binary_search(need[s].begin(), need[s].end(), g);
       return false;
     };
-    // Whether every source segment is cached: such a read is served from
-    // the cache and verifies nothing.
-    bool all_cached = cache_on;
-    for (size_t s = 0; s < need.size() && all_cached; ++s) {
+    // Per plan slot, the source segments the read fetches: those the
+    // cache does not hold. With none left the read is served from the
+    // cache and verifies nothing.
+    std::vector<std::vector<size_t>> fetched(need.size());
+    bool all_cached = true;
+    for (size_t s = 0; s < need.size(); ++s) {
       const size_t b = plan->source_blocks()[s];
       for (size_t g : need[s])
-        all_cached &= cache.get(fs.cache_uid(), id, b, g,
-                                fs.block_generation(id, b)) != nullptr;
+        if (!cache_on || cache.get(fs.cache_uid(), id, b, g,
+                                   fs.block_generation(id, b)) == nullptr)
+          fetched[s].push_back(g);
+      all_cached &= fetched[s].empty();
     }
 
     Flip flip = static_cast<Flip>(trial % 3);
     size_t fb = 0, fg = 0;
     if (flip == Flip::kInside) {
+      const auto& inside = all_cached ? need : fetched;
       std::vector<size_t> slots;
-      for (size_t s = 0; s < need.size(); ++s)
-        if (!need[s].empty()) slots.push_back(s);
+      for (size_t s = 0; s < inside.size(); ++s)
+        if (!inside[s].empty()) slots.push_back(s);
       const size_t s = slots[rng.next_below(slots.size())];
       fb = plan->source_blocks()[s];
-      fg = need[s][rng.next_below(need[s].size())];
+      fg = inside[s][rng.next_below(inside[s].size())];
     } else if (flip == Flip::kOutside) {
       std::vector<std::pair<size_t, size_t>> spots;
       for (size_t b : available)
@@ -161,7 +186,7 @@ TEST_P(RangeReadTest, MatchesMirrorAndFindsExactlyTheFlipsItReads) {
     }
 
     const FileStore::ReadStats before = fs.read_stats();
-    expect_mirror(fs.read_range(id, off, len), off, len, "direct");
+    expect_mirror(read(off, len), off, len, "read under test");
     const FileStore::ReadStats after = fs.read_stats();
     if (flip == Flip::kInside && !all_cached) {
       EXPECT_EQ(after.crc_failures, before.crc_failures + 1);
@@ -187,16 +212,31 @@ TEST_P(RangeReadTest, MatchesMirrorAndFindsExactlyTheFlipsItReads) {
   EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
 }
 
+// Direct reads keep the suffix-free names.
+std::string reader_suffix(Reader r) {
+  switch (r) {
+    case Reader::kDirect:
+      return "";
+    case Reader::kStriped:
+      return "_striped";
+    default:
+      return "_striped_batch1";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, RangeReadTest,
     ::testing::Combine(::testing::Values(size_t{1000}, size_t{50000},
                                          size_t{70001}),
                        ::testing::Bool(),
-                       ::testing::Values(size_t{0}, size_t{1}, size_t{2})),
+                       ::testing::Values(size_t{0}, size_t{1}, size_t{2}),
+                       ::testing::Values(Reader::kDirect, Reader::kStriped,
+                                         Reader::kStripedBatch1)),
     [](const ::testing::TestParamInfo<Param>& info) {
       return "chunk" + std::to_string(std::get<0>(info.param)) +
              (std::get<1>(info.param) ? "_cache" : "_nocache") + "_lost" +
-             std::to_string(std::get<2>(info.param));
+             std::to_string(std::get<2>(info.param)) +
+             reader_suffix(std::get<3>(info.param));
     });
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "codes/reed_solomon.h"
 #include "core/galloper.h"
 #include "fault/fault.h"
+#include "io/async.h"
 #include "store/file_store.h"
 #include "store/recovery.h"
 #include "util/check.h"
@@ -242,45 +243,6 @@ TEST_F(FileStoreTest, RepairRacesKillReviveHammer) {
     ASSERT_TRUE(fs.repair(id, 2).has_value());
   }
   EXPECT_EQ(*fs.read(id), file);
-}
-
-// read_range_nofault is the pinned-schedule fallback path: it must return
-// exactly the bytes read_range would, while consuming ZERO injector
-// decisions — the caller (StripedReader's stale-session fallback) already
-// drew its fault schedule and must not re-draw a fresh one.
-TEST_F(FileStoreTest, ReadRangeNofaultDrawsNoInjectorDecisions) {
-  const Buffer file = make_file();
-  const FileId id = fs.write(file);
-
-  fault::FaultInjector inj(11);
-  inj.set_read_failure_rate(0.3);
-  inj.set_read_latency(0.5, 0.0001);
-  fs.set_fault_injector(&inj);
-  fs.set_block_cache(nullptr);
-
-  // Clean path: identical bytes, zero draws.
-  const auto before = inj.stats().decisions;
-  const auto out = fs.read_range_nofault(id, 3, file.size() - 10);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, Buffer(file.begin() + 3, file.end() - 7));
-  EXPECT_EQ(inj.stats().decisions, before);
-
-  // Degraded path (quarantined block decoded around): still zero draws,
-  // and no opportunistic self-heal repair (that would draw write faults).
-  fs.corrupt_block(id, 1, 0);
-  fs.scrub(/*quarantine=*/true);
-  const auto repairs_before = fs.read_stats().auto_repairs;
-  const auto out2 = fs.read_range_nofault(id, 0, file.size());
-  ASSERT_TRUE(out2.has_value());
-  EXPECT_EQ(*out2, file);
-  EXPECT_EQ(inj.stats().decisions, before);
-  EXPECT_EQ(fs.read_stats().auto_repairs, repairs_before);
-  EXPECT_FALSE(fs.block_available(id, 1));
-
-  // Contrast: the regular faulted read_range consumes decisions.
-  ASSERT_TRUE(fs.read_range(id, 0, file.size()).has_value());
-  EXPECT_GT(inj.stats().decisions, before);
-  fs.set_fault_injector(nullptr);
 }
 
 TEST_F(FileStoreTest, RepairOfHealthyBlockIsNoop) {
@@ -630,9 +592,17 @@ TEST(SegmentVerifyTest, PointReadVerifiesAtMostTwoSegmentsPerSourcePiece) {
   ASSERT_EQ(fs.block_bytes(id), size_t{4} << 20);
 
   // Straddles a segment boundary, so the source piece spans two segments.
+  // Hedging is off for the read: a fetch slower than the hedge deadline (a
+  // sanitizer build gets there) is re-fetched, and the hedge verifies the
+  // same segments a second time.
+  const io::HedgePolicy saved = io::AsyncIo::global().hedge_policy();
+  io::HedgePolicy unhedged;
+  unhedged.enabled = false;
+  io::AsyncIo::global().set_hedge_policy(unhedged);
   const size_t offset = kSegmentBytes - 2048, length = 4096;
   const size_t before = fs.read_stats().verified_bytes;
   const auto got = fs.read_range(id, offset, length);
+  io::AsyncIo::global().set_hedge_policy(saved);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(std::equal(got->begin(), got->end(), file.begin() + offset));
   const size_t verified = fs.read_stats().verified_bytes - before;
@@ -653,8 +623,10 @@ TEST(SegmentVerifyTest, PointReadVerifiesAtMostTwoSegmentsPerSourcePiece) {
 // Repair verifies its helpers under the SHARED lock: readers of other files
 // keep finishing while a repair that meets a corrupt helper runs (and
 // quarantines it under a short exclusive hold). Injected latency on the
-// repair's helper fetches keeps it in flight; the readers use the
-// zero-draw read path, so only the repair draws from the injector.
+// repair's helper fetches keeps it in flight: it gathers on its own
+// unhedged I/O pool, as cluster::RepairQueue's per-node pools do. The
+// readers' fetches draw stalls from the same injector and are hedged at a
+// short deadline on the global pool.
 TEST(SegmentVerifyTest, OtherFilesReadersFinishDuringRepairWithBadHelper) {
   core::GalloperCode code(4, 2, 1);
   sim::Simulation simulation;
@@ -675,8 +647,16 @@ TEST(SegmentVerifyTest, OtherFilesReadersFinishDuringRepairWithBadHelper) {
   ASSERT_FALSE(helpers.empty());
   fs.corrupt_block(a, helpers[0], fs.block_bytes(a) - 1);
   fault::FaultInjector inj(7);
-  inj.set_read_latency(1.0, 0.02);
+  inj.set_read_latency(1.0, 0.1);
   fs.set_fault_injector(&inj);
+  io::AsyncIo repair_io(4);
+  io::HedgePolicy unhedged;
+  unhedged.enabled = false;
+  repair_io.set_hedge_policy(unhedged);
+  const io::HedgePolicy saved = io::AsyncIo::global().hedge_policy();
+  io::HedgePolicy fast;
+  fast.fixed_deadline_s = 0.001;
+  io::AsyncIo::global().set_hedge_policy(fast);
 
   std::atomic<bool> repairing{false}, done{false};
   std::atomic<int> during{0}, mismatches{0}, started{0};
@@ -690,7 +670,7 @@ TEST(SegmentVerifyTest, OtherFilesReadersFinishDuringRepairWithBadHelper) {
         const size_t len = 1 + local.next_below(std::min<size_t>(
                                    fb.size() - off, 8192));
         const bool in_flight = repairing.load();
-        const auto got = fs.read_range_nofault(b, off, len);
+        const auto got = fs.read_range(b, off, len);
         if (!got || !std::equal(got->begin(), got->end(), fb.begin() + off))
           mismatches.fetch_add(1);
         if (in_flight && repairing.load()) during.fetch_add(1);
@@ -699,10 +679,11 @@ TEST(SegmentVerifyTest, OtherFilesReadersFinishDuringRepairWithBadHelper) {
   }
   while (started.load() < 2) std::this_thread::yield();
   repairing.store(true);
-  const auto repaired = fs.repair(a, 0);
+  const auto repaired = fs.repair(a, 0, &repair_io);
   repairing.store(false);
   done.store(true);
   for (auto& th : readers) th.join();
+  io::AsyncIo::global().set_hedge_policy(saved);
 
   ASSERT_TRUE(repaired.has_value());
   EXPECT_EQ(mismatches.load(), 0);
