@@ -19,8 +19,8 @@
 // never parity math. A final degraded cell reruns wordcount on Galloper
 // with a dead server, a pre-corrupted block, injected latency stalls, and
 // a concurrent repair storm hammering a second file: the job must still
-// complete bit-identically, with the lost/quarantined splits served by
-// plan-cached degraded reads (fallback_splits > 0).
+// complete bit-identically, with the lost/quarantined splits decoded
+// around the hole inside their own reads (fallback_splits > 0).
 //
 //   GALLOPER_BENCH_MB    ≈ input file size in MiB (default 16)
 //   GALLOPER_BENCH_REPS  timed repetitions per clean cell, best-of (default 3)
@@ -136,9 +136,10 @@ Cell run_degraded_cell(const JobDef& job, const core::GalloperCode& code,
   // Faults: the last block's server dies outright (every split there runs
   // degraded), one mid block is silently corrupted (first split read CRC-
   // quarantines it, then self-heals), and reads draw occasional stalls —
-  // the "one stalled helper" the surviving map slots absorb. Reads verify
-  // only the segments they decode from, so every flip lands in a data
-  // stripe a read covers: block b's first data stripe, pos_of(b).
+  // a map task's read, like every read, re-issues a fetch still stalled
+  // at the hedge deadline stall-free. Reads verify only the segments they
+  // decode from, so every flip lands in a data stripe a read covers:
+  // block b's first data stripe, pos_of(b).
   const size_t chunk = job.file.size() / code.engine().num_chunks();
   const auto pos_of = [&](size_t b) {
     const std::vector<size_t>& held = code.engine().chunks_of_block(b);

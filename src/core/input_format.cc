@@ -7,7 +7,7 @@
 namespace galloper::core {
 
 InputFormat::InputFormat(const codes::ErasureCode& code, size_t block_bytes)
-    : code_(&code), num_blocks_(code.num_blocks()), block_bytes_(block_bytes) {
+    : num_blocks_(code.num_blocks()), block_bytes_(block_bytes) {
   const auto& e = code.engine();
   GALLOPER_CHECK_MSG(
       block_bytes % e.stripes_per_block() == 0,
@@ -61,31 +61,6 @@ size_t InputFormat::original_bytes_in_block(size_t block) const {
   for (const auto& s : splits_)
     if (s.block == block) total += s.length;
   return total;
-}
-
-Buffer InputFormat::gather(const std::vector<ConstByteSpan>& blocks) const {
-  GALLOPER_CHECK_MSG(blocks.size() == num_blocks_,
-                     "gather needs all " << num_blocks_ << " blocks");
-  for (const auto& b : blocks)
-    GALLOPER_CHECK_MSG(b.size() == block_bytes_, "wrong block size");
-  Buffer file(total_original_bytes(), 0);
-  for (const auto& s : splits_) {
-    std::copy_n(blocks[s.block].data() + s.block_offset, s.length,
-                file.data() + s.file_offset);
-  }
-  return file;
-}
-
-std::optional<Buffer> InputFormat::gather(
-    const std::map<size_t, ConstByteSpan>& blocks) const {
-  for (const auto& [b, bytes] : blocks) {
-    GALLOPER_CHECK_MSG(b < num_blocks_, "unknown block " << b);
-    GALLOPER_CHECK_MSG(bytes.size() == block_bytes_, "wrong block size");
-  }
-  // The engine's ranged read IS the degraded gather: chunks present in
-  // `blocks` are copied verbatim (identical bytes to the all-blocks
-  // overload), absent ones are solved via the cached decode plan.
-  return code_->engine().read_range(blocks, 0, total_original_bytes());
 }
 
 }  // namespace galloper::core

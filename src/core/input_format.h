@@ -4,12 +4,9 @@
 // and read only original bytes (never parity).
 #pragma once
 
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "codes/erasure_code.h"
-#include "util/bytes.h"
 
 namespace galloper::core {
 
@@ -50,21 +47,7 @@ class InputFormat {
   // Original bytes stored in one block.
   size_t original_bytes_in_block(size_t block) const;
 
-  // Reassembles the original file by concatenating the data regions of all
-  // blocks — no decoding, pure byte movement. Requires every block that
-  // holds original data (blocks[i] must be block i's contents).
-  Buffer gather(const std::vector<ConstByteSpan>& blocks) const;
-
-  // Degraded gather: reassembles the original file from whichever blocks
-  // are still around, decoding the missing chunks through the plan cache
-  // (codes::CodecEngine::read_range). Available chunks are copied verbatim,
-  // so with every block present this is bit-identical to gather() above.
-  // nullopt when the surviving blocks cannot reconstruct the file.
-  std::optional<Buffer> gather(
-      const std::map<size_t, ConstByteSpan>& blocks) const;
-
  private:
-  const codes::ErasureCode* code_;
   size_t num_blocks_;
   size_t block_bytes_;
   size_t chunk_bytes_;

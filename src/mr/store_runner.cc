@@ -85,35 +85,41 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
   report.splits = splits.size();
 
   // ---- Map: one task per split, scheduled over the work-stealing pool.
-  // Each task reads ONLY its split's original bytes (admission-gated, CRC-
-  // verified, cache-filling); a nullopt means the block is lost or was
-  // quarantined, and the task falls back to a degraded ranged read of the
-  // SAME file range through the pipelined client (which takes its own
-  // admission ticket — ours is released first). Map output is hash-
-  // partitioned per task as it is emitted, so the shuffle below never
-  // touches a global intermediate.
+  // Each task is ONE read-core read of its split's file range, under one
+  // admission ticket (taken only when the read has something to fetch, as
+  // StripedReader does). With the split's block available the plan copies
+  // its chunks verbatim — only the split's own segments are fetched and
+  // verified; with the block lost, or gone, unreadable or corrupt under the
+  // read (which then replans in the same call), the same bytes are decoded
+  // around it: a degraded split. Map output is hash-partitioned per task as
+  // it is emitted, so the shuffle below never touches a global
+  // intermediate.
   std::vector<std::vector<std::vector<KeyValue>>> parts(
       splits.size(), std::vector<std::vector<KeyValue>>(reducers));
   std::atomic<size_t> degraded{0};
   std::atomic<uint64_t> clean_bytes{0};
   std::atomic<uint64_t> decoded_bytes{0};
-  client::StripedReader fallback(fs);
+  const size_t one_batch = fs.code().engine().num_chunks();
   const uint64_t map_start = now_ns();
   rt::parallel_for(pool, splits.size(), threads, [&](size_t si) {
     const core::InputFormat::Split& s = splits[si];
+    store::FileStore::RangeRead read =
+        fs.open_read(id, s.file_offset, s.length);
     std::optional<Buffer> data;
     {
-      const client::AdmissionControl::Ticket ticket = gate.admit();
-      data = fs.read_original_split(id, s.block, s.block_offset, s.length);
+      std::optional<client::AdmissionControl::Ticket> ticket;
+      if (read.needs_fetch()) ticket.emplace(gate.admit());
+      data = fs.finish_read(read, one_batch, /*depth=*/1);
     }
-    if (data.has_value()) {
-      clean_bytes.fetch_add(s.length, std::memory_order_relaxed);
-    } else {
-      data = fallback.read_range(id, s.file_offset, s.length);
-      GALLOPER_CHECK_MSG(data.has_value(),
-                         "split of block " << s.block << " unrecoverable");
+    GALLOPER_CHECK_MSG(data.has_value(),
+                       "split of block " << s.block << " unrecoverable");
+    if (read.replanned() ||
+        !std::binary_search(read.available().begin(), read.available().end(),
+                            s.block)) {
       degraded.fetch_add(1, std::memory_order_relaxed);
       decoded_bytes.fetch_add(s.length, std::memory_order_relaxed);
+    } else {
+      clean_bytes.fetch_add(s.length, std::memory_order_relaxed);
     }
     std::vector<KeyValue> emitted;
     mapper_.map(ConstByteSpan(*data), emitted);

@@ -9,15 +9,16 @@
 //    over the rt:: work-stealing pool — on a Galloper layout that is
 //    original data on ALL k+l+g servers, vs only the k data servers of
 //    Pyramid/RS;
-//  * each map task streams ONLY its split's original-data byte range via
-//    FileStore::read_original_split — verified (CRC), cache-integrated,
-//    admission-gated, and never decoding or touching parity bytes on the
-//    clean path;
-//  * a split whose block is lost / quarantined mid-job falls back to a
-//    degraded ranged read of the same bytes through the pipelined client
-//    (client::StripedReader → plan-cached decode of just the missing
-//    chunks), so jobs complete bit-identically to LocalRunner::run_plain
-//    under fault injection;
+//  * each map task is ONE verified read of its split's file range through
+//    FileStore's read core (open_read/finish_read), under one admission
+//    ticket: with the split's block available the plan copies its chunks
+//    verbatim, so the task fetches and CRC-checks only the split's own
+//    segments of that block and never decodes or touches parity bytes;
+//  * a split whose block is lost — before the job, or gone, unreadable or
+//    corrupt under the read, which then replans in the same call — is a
+//    degraded split: the same bytes decoded around the hole, so jobs
+//    complete bit-identically to LocalRunner::run_plain under fault
+//    injection;
 //  * map output is hash-partitioned into reduce_tasks partitions as it is
 //    emitted; shuffle and reduce then run one task per partition (each the
 //    shared shuffle_reduce group-by), and the sorted per-reducer outputs
@@ -40,9 +41,10 @@ namespace galloper::mr {
 struct MrStats {
   uint64_t jobs = 0;
   uint64_t splits_mapped = 0;    // map tasks executed
-  uint64_t degraded_splits = 0;  // splits served by degraded fallback
+  uint64_t degraded_splits = 0;  // splits not served verbatim from their
+                                 // block (block lost, or the read replanned)
   uint64_t bytes_original = 0;   // split bytes read clean (no decode)
-  uint64_t bytes_decoded = 0;    // split bytes served via degraded reads
+  uint64_t bytes_decoded = 0;    // bytes of degraded splits
   uint64_t map_ns = 0;           // summed per-job phase walls
   uint64_t shuffle_ns = 0;
   uint64_t reduce_ns = 0;

@@ -1,13 +1,12 @@
 #include "store/file_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <deque>
-#include <thread>
 #include <tuple>
 
 #include "client/cache.h"
+#include "core/input_format.h"
 #include "io/fetch.h"
 #include "rt/pool.h"
 #include "util/check.h"
@@ -279,26 +278,6 @@ std::optional<Buffer> FileStore::read(FileId id) const {
   return code_.decode(view);
 }
 
-std::optional<Buffer> FileStore::read_original_only(FileId id) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  GALLOPER_CHECK(id < files_.size());
-  core::InputFormat fmt(code_, file_block_bytes_[id]);
-  // gather() wants one span per block; an unavailable block is fine only
-  // if it holds no original bytes, in which case a zero dummy stands in.
-  const Buffer dummy(file_block_bytes_[id], 0);
-  std::vector<ConstByteSpan> blocks;
-  for (size_t b = 0; b < code_.num_blocks(); ++b) {
-    const auto data = block_locked(id, b);
-    if (data) {
-      blocks.push_back(*data);
-      continue;
-    }
-    if (fmt.original_bytes_in_block(b) > 0) return std::nullopt;
-    blocks.push_back(ConstByteSpan(dummy));
-  }
-  return fmt.gather(blocks);
-}
-
 client::BlockCache* FileStore::cache_enabled() const {
   return cache_ != nullptr && cache_->enabled() ? cache_ : nullptr;
 }
@@ -307,81 +286,21 @@ std::optional<Buffer> FileStore::read_original_split(FileId id, size_t b,
                                                      size_t block_offset,
                                                      size_t length) {
   GALLOPER_CHECK_MSG(length > 0, "empty split read");
-  uint64_t gen = 0;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    GALLOPER_CHECK(id < files_.size());
-    GALLOPER_CHECK(b < code_.num_blocks());
-    GALLOPER_CHECK_MSG(block_offset + length <= file_block_bytes_[id],
-                       "split [" << block_offset << ", "
-                                 << block_offset + length
-                                 << ") beyond block size "
-                                 << file_block_bytes_[id]);
-    gen = block_gens_[id][b];
-  }
-  std::vector<size_t> segs;
-  for (size_t g = block_offset / kSegmentBytes;
-       g * kSegmentBytes < block_offset + length; ++g)
-    segs.push_back(g);
-  const auto copy_out = [&](const std::vector<Segment>& got) {
-    Buffer out(length);
-    for (size_t i = 0; i < segs.size(); ++i) {
-      const size_t lo = std::max(block_offset, segs[i] * kSegmentBytes);
-      const size_t hi = std::min(block_offset + length,
-                                 segs[i] * kSegmentBytes + got[i]->size());
-      std::copy_n(got[i]->data() + (lo - segs[i] * kSegmentBytes), hi - lo,
-                  out.data() + (lo - block_offset));
-    }
-    return out;
-  };
-
-  // Hot path: current-generation verified cache segments covering the
-  // split serve it with no injector draws and no verification (they were
-  // CRC-checked when inserted) — sibling splits share boundary segments.
-  client::BlockCache* cache = cache_enabled();
-  if (cache) {
-    std::vector<Segment> hits;
-    for (size_t g : segs) {
-      auto e = cache->get(cache_uid_, id, b, g, gen);
-      if (e == nullptr) break;
-      hits.push_back(std::move(e));
-    }
-    if (hits.size() == segs.size()) return copy_out(hits);
-  }
-
-  counters_.verified_reads.fetch_add(1, std::memory_order_relaxed);
-
-  // Draw the fault schedule on this thread (one block — latency first,
-  // then the retried transient faults, like every fetch). The injected
-  // stall is slept on the CALLING thread: a split read is the map slot's
-  // own local disk read, with no second replica to hedge to — a stalled
-  // split is a straggler the job's other map slots absorb, which is
-  // exactly the behavior the paper measures.
-  if (!block_available(id, b)) return std::nullopt;
-  const std::optional<double> stall_s = draw_fetch();
-  if (!stall_s) return std::nullopt;
-  if (*stall_s > 0)
-    std::this_thread::sleep_for(std::chrono::duration<double>(*stall_s));
-
-  // Verify-on-read of the split's own segments; a clean fetch also fills
-  // the cache at the generation the copies were verified under.
-  const SegmentFetch got = fetch_segments(id, b, segs);
-  if (got.status == FetchStatus::kOk) {
-    if (cache)
-      for (size_t i = 0; i < segs.size(); ++i)
-        cache->put(cache_uid_, id, b, segs[i], got.generation,
-                    got.segments[i]);
-    return copy_out(got.segments);
-  }
-  // A CRC mismatch quarantines + self-heals the block like read_range; the
-  // caller's degraded ranged read then serves the bytes (clean again if
-  // the self-heal landed). Gone: nullopt, same fallback.
-  if (got.status == FetchStatus::kCorrupt &&
-      quarantine_if_corrupt(id, b, got.bad_segment)) {
-    counters_.degraded_reads.fetch_add(1, std::memory_order_relaxed);
-    self_heal(id, b);
-  }
-  return std::nullopt;
+  GALLOPER_CHECK(b < code_.num_blocks());
+  // Inside one run, chunks are adjacent in the block and in the file, so
+  // the run's own offsets map the range.
+  const core::InputFormat fmt(code_, block_bytes(id));
+  const auto& runs = fmt.splits();
+  const auto run = std::find_if(runs.begin(), runs.end(), [&](const auto& r) {
+    return r.block == b && r.block_offset <= block_offset &&
+           block_offset + length <= r.block_offset + r.length;
+  });
+  GALLOPER_CHECK_MSG(run != runs.end(),
+                     "split [" << block_offset << ", " << block_offset + length
+                               << ") of block " << b
+                               << " is not inside one original-data run");
+  return read_range(id, run->file_offset + (block_offset - run->block_offset),
+                    length);
 }
 
 std::vector<size_t> FileStore::update_range(FileId id, size_t offset,

@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "codes/erasure_code.h"
-#include "core/input_format.h"
 #include "fault/fault.h"
 #include "sim/cluster.h"
 #include "store/segments.h"
@@ -174,25 +173,25 @@ class FileStore {
   // True if every file is still decodable from available blocks.
   bool all_recoverable() const;
 
-  // Reads one file, decoding around missing blocks if needed.
+  // The reference decode, an oracle and not a data path: the whole file
+  // decoded from the available blocks' stored bytes with no checksum
+  // check, never quarantining, healing or filling the cache. Correctness
+  // gates compare it to a mirror because a verifying read would heal what
+  // it finds, so a rebuild that installed wrong bytes would pass them.
+  // nullopt if the available blocks cannot decode the file.
   std::optional<Buffer> read(FileId id) const;
 
-  // Reads one file's original bytes without decoding (requires every
-  // data-holding block available) — the analytics fast path.
-  std::optional<Buffer> read_original_only(FileId id) const;
-
   // Data-local map-task read: bytes [block_offset, block_offset + length)
-  // of block `b` — one split of core::InputFormat, i.e. original data only,
-  // never parity, never a decode. The read verifies only the split's own
-  // segments (fetch_segments) and is cache-integrated: current-generation
-  // BlockCache segments covering the split serve it with no injector
-  // draws, and a verified miss fills the cache with the split's segments.
-  // Injected latency stalls are absorbed by the calling map slot (a split
-  // read has one replica — there is nothing to hedge to); transient read
-  // faults retry in place like read_range. A CRC
-  // mismatch quarantines + self-heals the block exactly like read_range
-  // and returns nullopt — as does a lost block / dead server — and the
-  // caller falls back to a degraded ranged read of the same bytes.
+  // of block `b`, which must lie inside one original-data run of the block
+  // (a core::InputFormat split or a piece of one; anything else, parity
+  // included, throws CheckError). The range is mapped to its file offset
+  // with the code's layout and read by read_range: the read core's plan
+  // copies an available block's chunks verbatim, so a healthy split reads
+  // and verifies only its own segments of `b` and decodes nothing, and a
+  // lost, unreadable or corrupt `b` replans in the same call into a
+  // degraded decode of the same bytes (quarantining and self-healing a
+  // corrupt block). Faults, hedging and the cache follow every read's
+  // rules. nullopt only if the available blocks cannot rebuild the range.
   std::optional<Buffer> read_original_split(FileId id, size_t b,
                                             size_t block_offset,
                                             size_t length);
@@ -218,9 +217,9 @@ class FileStore {
 
   // ---- The read core ------------------------------------------------------
   //
-  // Every verified ranged read — read_range and the pipelined
-  // client::StripedReader — runs this one plan→fetch→verify→decode loop, in
-  // two steps:
+  // Every verified read — read_range (and with it read_original_split),
+  // the pipelined client::StripedReader and mr::StoreRunner's map tasks —
+  // runs this one plan→fetch→verify→decode loop, in two steps:
   //  - open_read snapshots the available set and the block generations
   //    (begin_verified_read), plans decode_fast over that set once, and
   //    stages the plan's source segments the block cache holds at the
@@ -260,6 +259,10 @@ class FileStore {
     // False when finish_read has nothing to fetch: an empty range, one the
     // available blocks cannot reconstruct, or one the cache fully staged.
     bool needs_fetch() const { return needs_fetch_; }
+    // Sorted block ids the open step found available.
+    const std::vector<size_t>& available() const {
+      return session_.available;
+    }
     // Set by finish_read: batches fetched and decoded, and whether a gone,
     // unreadable or corrupt fetch made the read replan.
     size_t batches() const { return batches_; }

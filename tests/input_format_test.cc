@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "codes/pyramid.h"
 #include "codes/reed_solomon.h"
 #include "core/galloper.h"
@@ -12,13 +14,18 @@ namespace {
 
 using galloper::Buffer;
 using galloper::CheckError;
-using galloper::ConstByteSpan;
 using galloper::Rational;
 using galloper::Rng;
 using galloper::random_buffer;
 
-std::vector<ConstByteSpan> spans(const std::vector<Buffer>& blocks) {
-  return {blocks.begin(), blocks.end()};
+// Reassembles the file by copying every split's bytes out of its block —
+// no decoding, pure byte movement.
+Buffer reassemble(const InputFormat& fmt, const std::vector<Buffer>& blocks) {
+  Buffer file(fmt.total_original_bytes(), 0);
+  for (const auto& s : fmt.splits())
+    std::copy_n(blocks[s.block].data() + s.block_offset, s.length,
+                file.data() + s.file_offset);
+  return file;
 }
 
 TEST(InputFormat, GalloperSplitsCoverWholeFileOnce) {
@@ -46,7 +53,7 @@ TEST(InputFormat, GatherReassemblesFileWithoutDecoding) {
   const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
   const auto blocks = code.encode(file);
   InputFormat fmt(code, code.n_stripes() * chunk);
-  EXPECT_EQ(fmt.gather(spans(blocks)), file);
+  EXPECT_EQ(reassemble(fmt, blocks), file);
 }
 
 TEST(InputFormat, GatherWorksForHeterogeneousWeights) {
@@ -59,7 +66,7 @@ TEST(InputFormat, GatherWorksForHeterogeneousWeights) {
   const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
   const auto blocks = code.encode(file);
   InputFormat fmt(code, code.n_stripes() * chunk);
-  EXPECT_EQ(fmt.gather(spans(blocks)), file);
+  EXPECT_EQ(reassemble(fmt, blocks), file);
   // Per-block original bytes proportional to weights.
   for (size_t b = 0; b < 7; ++b) {
     const Rational expect = code.weights()[b] *
@@ -85,7 +92,7 @@ TEST(InputFormat, ReedSolomonGatherEqualsOriginal) {
   const Buffer file = random_buffer(4 * 100, rng);
   const auto blocks = code.encode(file);
   InputFormat fmt(code, 100);
-  EXPECT_EQ(fmt.gather(spans(blocks)), file);
+  EXPECT_EQ(reassemble(fmt, blocks), file);
 }
 
 TEST(InputFormat, ZeroWeightBlockHasNoSplit) {
@@ -100,17 +107,6 @@ TEST(InputFormat, ZeroWeightBlockHasNoSplit) {
 TEST(InputFormat, RejectsIndivisibleBlockSize) {
   GalloperCode code(4, 2, 1);  // N = 7
   EXPECT_THROW(InputFormat(code, 100), CheckError);
-}
-
-TEST(InputFormat, GatherValidatesArguments) {
-  GalloperCode code(4, 2, 1);
-  const size_t chunk = 8;
-  Rng rng(4);
-  const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
-  auto blocks = code.encode(file);
-  InputFormat fmt(code, code.n_stripes() * chunk);
-  blocks.pop_back();
-  EXPECT_THROW(fmt.gather(spans(blocks)), CheckError);
 }
 
 }  // namespace

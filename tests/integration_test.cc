@@ -35,7 +35,7 @@ TEST(Integration, AllSymbolCodeThroughFileStoreAndRecovery) {
   store::RecoveryManager mgr(simulation, fs);
   const auto report = mgr.recover_all();
   EXPECT_EQ(report.blocks_repaired, 2u);
-  EXPECT_EQ(*fs.read_original_only(id), file);
+  EXPECT_EQ(*fs.read(id), file);
   EXPECT_TRUE(fs.scrub().empty());
 }
 
@@ -109,7 +109,7 @@ TEST(Integration, UpdateSurvivesSubsequentRepair) {
   fs.fail_server(0);  // chunk 2 lives in block 0
   fs.revive_server(0);
   ASSERT_TRUE(fs.repair(id, 0).has_value());
-  EXPECT_EQ(*fs.read_original_only(id), file);
+  EXPECT_EQ(*fs.read(id), file);
   EXPECT_TRUE(fs.scrub().empty());
 }
 

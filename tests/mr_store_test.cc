@@ -2,13 +2,13 @@
 // bit-identical to LocalRunner::run_plain on the original file — across
 // code shapes, split caps, and thread counts; under silent corruption; and
 // with servers dying before or in the middle of the job. Also covers the
-// split-subdivision and degraded-gather InputFormat APIs the runner sits on.
+// split subdivision and the degraded split reads the runner sits on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -31,7 +31,6 @@ namespace {
 
 using galloper::Buffer;
 using galloper::CheckError;
-using galloper::ConstByteSpan;
 using galloper::Rng;
 
 uint64_t decode_repair_execs() {
@@ -86,63 +85,6 @@ TEST(SplitCap, SubdividesRunsAndCoversEveryByte) {
   EXPECT_THROW(fmt.splits(0), CheckError);
 }
 
-// ---------- degraded gather (map overload) ----------
-
-TEST(DegradedGather, DecodesAroundMissingBlocks) {
-  core::GalloperCode gal(4, 2, 1);
-  Rng rng(91);
-  const size_t chunk = 128;
-  const Buffer file = random_buffer(gal.engine().num_chunks() * chunk, rng);
-  const auto blocks = gal.encode(file);
-  core::InputFormat fmt(gal, blocks[0].size());
-
-  auto view = [&](std::vector<size_t> ids) {
-    std::map<size_t, ConstByteSpan> m;
-    for (size_t b : ids) m.emplace(b, blocks[b]);
-    return m;
-  };
-
-  // All blocks: pure byte movement, equal to the vector-overload gather.
-  std::vector<size_t> all(blocks.size());
-  for (size_t b = 0; b < blocks.size(); ++b) all[b] = b;
-  auto full = fmt.gather(view(all));
-  ASSERT_TRUE(full.has_value());
-  EXPECT_EQ(*full, file);
-
-  // Any single block missing: decoded back bit-exactly.
-  for (size_t lost = 0; lost < blocks.size(); ++lost) {
-    std::vector<size_t> rest;
-    for (size_t b = 0; b < blocks.size(); ++b)
-      if (b != lost) rest.push_back(b);
-    auto got = fmt.gather(view(rest));
-    ASSERT_TRUE(got.has_value()) << "lost block " << lost;
-    EXPECT_EQ(*got, file) << "lost block " << lost;
-  }
-
-  // Fewer blocks than any decodable set: nullopt, not garbage.
-  EXPECT_FALSE(fmt.gather(view({0, 1, 2})).has_value());
-  EXPECT_FALSE(
-      fmt.gather(std::map<size_t, ConstByteSpan>{}).has_value());
-}
-
-TEST(DegradedGather, ValidatesArguments) {
-  core::GalloperCode gal(4, 2, 1);
-  Rng rng(92);
-  const size_t chunk = 64;
-  const Buffer file = random_buffer(gal.engine().num_chunks() * chunk, rng);
-  const auto blocks = gal.encode(file);
-  core::InputFormat fmt(gal, blocks[0].size());
-
-  std::map<size_t, ConstByteSpan> bad_id;
-  bad_id.emplace(blocks.size() + 3, blocks[0]);
-  EXPECT_THROW(fmt.gather(bad_id), CheckError);
-
-  const Buffer short_block(blocks[0].size() - 1);
-  std::map<size_t, ConstByteSpan> bad_size;
-  bad_size.emplace(0, short_block);
-  EXPECT_THROW(fmt.gather(bad_size), CheckError);
-}
-
 // ---------- shuffle_reduce ----------
 
 TEST(ShuffleReduce, MatchesGlobalSortReference) {
@@ -193,6 +135,42 @@ struct StoreJob {
     id = fs->write(file);
   }
 };
+
+// ---------- degraded split reads ----------
+
+TEST(DegradedGather, DecodesAroundMissingBlocks) {
+  // The file reassembled from its split reads: with any one block lost,
+  // that block's splits are decoded back bit-exactly; with fewer blocks
+  // than any decodable set, a lost block's split is nullopt, not garbage.
+  core::GalloperCode gal(4, 2, 1);
+  Rng rng(91);
+  const size_t chunk = 2 * kWordCountRecordBytes;
+  const auto gather = [](store::FileStore& fs,
+                         store::FileId id) -> std::optional<Buffer> {
+    const core::InputFormat fmt(fs.code(), fs.block_bytes(id));
+    Buffer out(fmt.total_original_bytes());
+    for (const auto& s : fmt.splits()) {
+      const auto got =
+          fs.read_original_split(id, s.block, s.block_offset, s.length);
+      if (!got) return std::nullopt;
+      std::copy(got->begin(), got->end(), out.begin() + s.file_offset);
+    }
+    return out;
+  };
+
+  for (size_t lost = 0; lost < gal.num_blocks(); ++lost) {
+    StoreJob job(gal, chunk, rng);
+    job.fs->fail_server(job.fs->server_of(lost));
+    const auto got = gather(*job.fs, job.id);
+    ASSERT_TRUE(got.has_value()) << "lost block " << lost;
+    EXPECT_EQ(*got, job.file) << "lost block " << lost;
+  }
+
+  StoreJob job(gal, chunk, rng);
+  for (size_t b = 3; b < gal.num_blocks(); ++b)
+    job.fs->fail_server(job.fs->server_of(b));
+  EXPECT_FALSE(gather(*job.fs, job.id).has_value());
+}
 
 TEST(StoreRunner, BitIdenticalAcrossShapesSplitsAndThreads) {
   WordCountMapper mapper;

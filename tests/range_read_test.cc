@@ -5,8 +5,11 @@
 // multiples of the segment size, with the block cache on and off, 0/1/2
 // lost blocks, and one flipped byte inside or outside the read's plan
 // sources, read through each entry point of the read core: direct
-// FileStore::read_range, the pipelined StripedReader, and a StripedReader
-// with one chunk per batch, whose multi-batch windows replan mid-stream.
+// FileStore::read_range, the pipelined StripedReader, a StripedReader
+// with one chunk per batch, whose multi-batch windows replan mid-stream,
+// and the map-task split read (read_original_split), whose ranges are
+// clipped to one original-data run and whose outside flips prefer another
+// segment of the split's own block.
 // Reads verify only the segments they fetch, so:
 //  - a flip INSIDE the fetched sources: the bytes are exact, CRC failures
 //    go up by exactly one, and the block self-heals (available again,
@@ -18,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -25,6 +29,9 @@
 #include "client/cache.h"
 #include "client/striped.h"
 #include "core/galloper.h"
+#include "core/input_format.h"
+#include "mr/framework.h"
+#include "mr/store_runner.h"
 #include "store/file_store.h"
 #include "store/segments.h"
 #include "util/rng.h"
@@ -33,11 +40,12 @@ namespace galloper::store {
 namespace {
 
 using galloper::Buffer;
+using galloper::ConstByteSpan;
 using galloper::Rng;
 using galloper::random_buffer;
 
 // The reader under test.
-enum class Reader { kDirect, kStriped, kStripedBatch1 };
+enum class Reader { kDirect, kStriped, kStripedBatch1, kSplit };
 
 // chunk bytes × cache on × lost blocks × reader. The chunk sizes give
 // blocks smaller than one segment, blocks of a few segments with chunk
@@ -109,6 +117,16 @@ TEST_P(RangeReadTest, MatchesMirrorAndFindsExactlyTheFlipsItReads) {
         << what << " [" << off << ", +" << len << ")";
   };
 
+  // The original-data run holding file byte `off`.
+  const core::InputFormat fmt(code, block_bytes);
+  const auto run_of = [&](size_t off) {
+    return *std::find_if(fmt.splits().begin(), fmt.splits().end(),
+                         [&](const core::InputFormat::Split& r) {
+                           return r.file_offset <= off &&
+                                  off < r.file_offset + r.length;
+                         });
+  };
+
   client::StripedReader reader(fs);
   client::ReaderOptions one_chunk;
   one_chunk.batch_chunks = 1;
@@ -119,8 +137,14 @@ TEST_P(RangeReadTest, MatchesMirrorAndFindsExactlyTheFlipsItReads) {
         return fs.read_range(id, off, len);
       case Reader::kStriped:
         return reader.read_range(id, off, len);
-      default:
+      case Reader::kStripedBatch1:
         return batch1.read_range(id, off, len);
+      default: {
+        const core::InputFormat::Split r = run_of(off);
+        return fs.read_original_split(id, r.block,
+                                      r.block_offset + (off - r.file_offset),
+                                      len);
+      }
     }
   };
   for (size_t trial = 0; trial < 30; ++trial) {
@@ -131,7 +155,11 @@ TEST_P(RangeReadTest, MatchesMirrorAndFindsExactlyTheFlipsItReads) {
       expect_mirror(reader.read_range(id, off, len), off, len, "pipelined");
     }
 
-    const auto [off, len] = pick_range();
+    auto [off, len] = pick_range();
+    if (which == Reader::kSplit) {
+      const core::InputFormat::Split r = run_of(off);
+      len = std::min(len, r.file_offset + r.length - off);
+    }
     std::vector<size_t> available;
     for (size_t b = 0; b < code.num_blocks(); ++b)
       if (fs.block_available(id, b)) available.push_back(b);
@@ -172,6 +200,13 @@ TEST_P(RangeReadTest, MatchesMirrorAndFindsExactlyTheFlipsItReads) {
       for (size_t b : available)
         for (size_t g = 0; g < nseg; ++g)
           if (!needed(b, g)) spots.emplace_back(b, g);
+      if (which == Reader::kSplit) {
+        const size_t own = run_of(off).block;
+        if (std::any_of(spots.begin(), spots.end(),
+                        [&](const auto& spot) { return spot.first == own; }))
+          std::erase_if(spots,
+                        [&](const auto& spot) { return spot.first != own; });
+      }
       if (spots.empty()) {
         flip = Flip::kNone;
       } else {
@@ -219,8 +254,10 @@ std::string reader_suffix(Reader r) {
       return "";
     case Reader::kStriped:
       return "_striped";
-    default:
+    case Reader::kStripedBatch1:
       return "_striped_batch1";
+    default:
+      return "_split";
   }
 }
 
@@ -231,13 +268,220 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(),
                        ::testing::Values(size_t{0}, size_t{1}, size_t{2}),
                        ::testing::Values(Reader::kDirect, Reader::kStriped,
-                                         Reader::kStripedBatch1)),
+                                         Reader::kStripedBatch1,
+                                         Reader::kSplit)),
     [](const ::testing::TestParamInfo<Param>& info) {
       return "chunk" + std::to_string(std::get<0>(info.param)) +
              (std::get<1>(info.param) ? "_cache" : "_nocache") + "_lost" +
              std::to_string(std::get<2>(info.param)) +
              reader_suffix(std::get<3>(info.param));
     });
+
+// Seeded random corrupt_block / fail_server / revive_server / repair steps
+// interleaved with reads of every split of fmt.splits(cap): a pass of
+// direct read_original_split calls, or a one-thread StoreRunner job (which
+// reads the splits in order). Every split must come back as the file's
+// bytes, and the job's degraded_splits must equal the count predicted from
+// block availability: a split is degraded when its block is unavailable,
+// or when its read meets the corrupt segment, which it does exactly when
+// its decode plan reads that segment (a corrupt segment is never cached —
+// only verified copies are). That read quarantines the block, and its
+// self-heal restores it before the next split. The steps keep at most one
+// corrupt block and at most two blocks unavailable or corrupt, so every
+// (4,2,2) read and repair succeeds.
+class SplitReadDifferential : public ::testing::TestWithParam<bool> {};
+
+// Emits each split's bytes as a key, so a job's output is the sorted list
+// of the bytes its map tasks read.
+class EchoMapper : public mr::Mapper {
+ public:
+  void map(ConstByteSpan input, std::vector<mr::KeyValue>& out) const override {
+    out.push_back({std::string(input.begin(), input.end()), ""});
+  }
+};
+
+class KeepReducer : public mr::Reducer {
+ public:
+  void reduce(const std::string& key, const std::vector<std::string>& values,
+              std::vector<mr::KeyValue>& out) const override {
+    for (const std::string& v : values) out.push_back({key, v});
+  }
+};
+
+TEST_P(SplitReadDifferential, BytesAndDegradedSplitsMatchTheModel) {
+  const bool cache_on = GetParam();
+  core::GalloperCode code(4, 2, 2);
+  const codes::CodecEngine& eng = code.engine();
+  const size_t n = code.num_blocks();
+  // Smaller than the file, so passes evict and flips find uncached
+  // segments to land in.
+  client::BlockCache cache(384 << 10, /*shards=*/2);  // outlives the store
+  sim::Simulation simulation;
+  sim::Cluster cluster(simulation, n, sim::ServerSpec{});
+  FileStore fs(cluster, code);
+  fs.set_block_cache(cache_on ? &cache : nullptr);
+  Rng rng(cache_on ? 71 : 72);
+  // Blocks of several segments with chunk boundaries off the segment grid;
+  // an odd split cap makes splits cross both.
+  const size_t chunk = 70001;
+  const Buffer file = random_buffer(eng.num_chunks() * chunk, rng);
+  const FileId id = fs.write(file);
+  const size_t block_bytes = fs.block_bytes(id);
+  const std::vector<core::InputFormat::Split> splits =
+      core::InputFormat(code, block_bytes).splits(chunk / 2 + 7);
+
+  std::vector<mr::KeyValue> expected;
+  for (const auto& s : splits)
+    expected.push_back({std::string(file.begin() + s.file_offset,
+                                    file.begin() + s.file_offset + s.length),
+                        ""});
+  std::sort(expected.begin(), expected.end());
+  EchoMapper mapper;
+  KeepReducer reducer;
+  mr::StoreRunnerOptions opt;
+  opt.threads = 1;
+  opt.max_split_bytes = chunk / 2 + 7;
+  opt.reduce_tasks = 1;
+  const mr::StoreRunner runner(mapper, reducer, opt);
+
+  // The one corrupt segment, live until its block's generation moves
+  // (a quarantine, a kill or a repair install).
+  struct Corrupt {
+    size_t block, seg;
+    uint64_t gen;
+  };
+  std::optional<Corrupt> corrupt;
+  const auto live = [&]() -> std::optional<Corrupt> {
+    if (corrupt && fs.block_generation(id, corrupt->block) == corrupt->gen)
+      return corrupt;
+    return std::nullopt;
+  };
+  const auto down = [&] {
+    std::vector<size_t> out;
+    for (size_t b = 0; b < n; ++b)
+      if (!fs.block_available(id, b)) out.push_back(b);
+    return out;
+  };
+  // Degraded splits of one in-order pass, and whether it meets the
+  // corrupt segment.
+  const auto predict = [&]() -> std::pair<size_t, bool> {
+    std::vector<size_t> available;
+    for (size_t b = 0; b < n; ++b)
+      if (fs.block_available(id, b)) available.push_back(b);
+    const auto plan = eng.plan_decode_fast(available);
+    std::optional<Corrupt> c = live();
+    bool met = false;
+    size_t degraded = 0;
+    for (const auto& s : splits) {
+      bool d = !std::binary_search(available.begin(), available.end(),
+                                   s.block);
+      if (c) {
+        const auto need = plan_source_segments(*plan, chunk, s.file_offset,
+                                               s.file_offset + s.length);
+        for (size_t slot = 0; slot < need.size(); ++slot)
+          if (plan->source_blocks()[slot] == c->block &&
+              std::binary_search(need[slot].begin(), need[slot].end(),
+                                 c->seg)) {
+            d = met = true;
+            c.reset();
+            break;
+          }
+      }
+      degraded += d;
+    }
+    return {degraded, met};
+  };
+
+  size_t passes = 0, flips = 0, degraded_total = 0, met_total = 0;
+  for (size_t step = 0; step < 150; ++step) {
+    const std::vector<size_t> out = down();
+    const std::optional<Corrupt> c = live();
+    switch (rng.next_below(6)) {
+      case 0: {  // flip a byte in a segment no cache entry holds
+        if (c || out.size() > 1) break;
+        std::vector<std::pair<size_t, size_t>> spots;
+        for (size_t b = 0; b < n; ++b) {
+          if (!fs.block_available(id, b)) continue;
+          for (size_t g = 0; g < segment_count(block_bytes); ++g)
+            if (!cache_on || cache.get(fs.cache_uid(), id, b, g,
+                                       fs.block_generation(id, b)) == nullptr)
+              spots.emplace_back(b, g);
+        }
+        if (spots.empty()) break;
+        const auto [b, g] = spots[rng.next_below(spots.size())];
+        fs.corrupt_block(id, b,
+                         g * kSegmentBytes +
+                             rng.next_below(segment_size(block_bytes, g)));
+        corrupt = Corrupt{b, g, fs.block_generation(id, b)};
+        ++flips;
+        break;
+      }
+      case 1: {  // kill a block's server
+        const size_t b = rng.next_below(n);
+        if (!fs.block_available(id, b)) break;
+        const size_t after = out.size() + 1 + (c && c->block != b ? 1 : 0);
+        if (after <= 2) fs.fail_server(fs.server_of(b));
+        break;
+      }
+      case 2:  // revive a dead server (its blocks stay lost)
+        for (size_t b : out)
+          if (!cluster.server(fs.server_of(b)).alive()) {
+            fs.revive_server(fs.server_of(b));
+            break;
+          }
+        break;
+      case 3:  // repair a lost block on a live server
+        for (size_t b : out)
+          if (cluster.server(fs.server_of(b)).alive()) {
+            ASSERT_TRUE(fs.repair(id, b).has_value()) << "block " << b;
+            break;
+          }
+        break;
+      case 4: {  // every split, read directly
+        const auto [degraded, met] = predict();
+        const FileStore::ReadStats before = fs.read_stats();
+        for (const auto& s : splits) {
+          const auto got =
+              fs.read_original_split(id, s.block, s.block_offset, s.length);
+          ASSERT_TRUE(got.has_value()) << "step " << step;
+          ASSERT_TRUE(std::equal(got->begin(), got->end(),
+                                 file.begin() + s.file_offset))
+              << "step " << step << " block " << s.block << " offset "
+              << s.block_offset;
+        }
+        const FileStore::ReadStats after = fs.read_stats();
+        EXPECT_EQ(after.crc_failures - before.crc_failures, met ? 1u : 0u);
+        EXPECT_EQ(after.auto_repairs - before.auto_repairs, met ? 1u : 0u);
+        degraded_total += degraded;
+        met_total += met;
+        ++passes;
+        break;
+      }
+      default: {  // every split, as one job's map tasks
+        const auto [degraded, met] = predict();
+        const mr::StoreJobReport report = runner.run_report(fs, id);
+        EXPECT_EQ(report.output, expected) << "step " << step;
+        EXPECT_EQ(report.degraded_splits, degraded) << "step " << step;
+        EXPECT_EQ(report.bytes_original + report.bytes_decoded, file.size());
+        degraded_total += degraded;
+        met_total += met;
+        ++passes;
+        break;
+      }
+    }
+    ASSERT_TRUE(fs.all_recoverable()) << "step " << step;
+  }
+  // The walk must have exercised what it models.
+  EXPECT_GT(passes, 10u);
+  EXPECT_GT(flips, 0u);
+  EXPECT_GT(met_total, 0u);
+  EXPECT_GT(degraded_total, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cache, SplitReadDifferential, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "on" : "off");
+                         });
 
 }  // namespace
 }  // namespace galloper::store

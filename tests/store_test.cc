@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "codes/reed_solomon.h"
 #include "core/galloper.h"
+#include "core/input_format.h"
 #include "fault/fault.h"
 #include "io/async.h"
 #include "store/file_store.h"
@@ -43,11 +45,48 @@ TEST_F(FileStoreTest, WriteThenReadRoundTrip) {
 }
 
 TEST_F(FileStoreTest, ReadOriginalOnlyFastPath) {
+  // A healthy file's split reads copy their own blocks verbatim: they
+  // reassemble the file, verify only their own block's segment (each block
+  // here is one short segment), and never replan.
   const Buffer file = make_file();
   const FileId id = fs.write(file);
-  const auto back = fs.read_original_only(id);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, file);
+  const core::InputFormat fmt(code, fs.block_bytes(id));
+  const FileStore::ReadStats before = fs.read_stats();
+  Buffer back(file.size());
+  for (const auto& s : fmt.splits()) {
+    const auto got =
+        fs.read_original_split(id, s.block, s.block_offset, s.length);
+    ASSERT_TRUE(got.has_value());
+    std::copy(got->begin(), got->end(), back.begin() + s.file_offset);
+  }
+  EXPECT_EQ(back, file);
+  const FileStore::ReadStats after = fs.read_stats();
+  EXPECT_EQ(after.verified_bytes - before.verified_bytes,
+            fmt.splits().size() * fs.block_bytes(id));
+  EXPECT_EQ(after.replanned_reads, before.replanned_reads);
+}
+
+TEST_F(FileStoreTest, SplitReadRejectsRangesOutsideOneOriginalRun) {
+  // Galloper rotates each block's original data to its top; the rest of
+  // the block is parity, which a split read must refuse, not return.
+  const size_t chunk = 128;
+  const FileId id = fs.write(make_file(chunk));
+  const core::InputFormat fmt(code, fs.block_bytes(id));
+  for (size_t b = 0; b < code.num_blocks(); ++b) {
+    const size_t orig = fmt.original_bytes_in_block(b);
+    ASSERT_GT(orig, 0u);
+    ASSERT_LT(orig, fs.block_bytes(id)) << "block " << b << " holds parity";
+    EXPECT_THROW(fs.read_original_split(id, b, orig, chunk), CheckError)
+        << "a range starting in block " << b << "'s parity";
+    EXPECT_THROW(fs.read_original_split(id, b, orig - chunk / 2, chunk),
+                 CheckError)
+        << "a range crossing the end of block " << b << "'s run";
+    EXPECT_TRUE(fs.read_original_split(id, b, orig - chunk, chunk))
+        << "the run's last chunk is original data";
+  }
+  EXPECT_THROW(fs.read_original_split(id, 0, 0, 0), CheckError);
+  EXPECT_THROW(fs.read_original_split(id, code.num_blocks(), 0, chunk),
+               CheckError);
 }
 
 TEST_F(FileStoreTest, MultipleFilesIndependent) {
@@ -70,14 +109,6 @@ TEST_F(FileStoreTest, FailureHidesBlocksButReadStillWorks) {
   const auto back = fs.read(id);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, file);
-}
-
-TEST_F(FileStoreTest, OriginalOnlyReadFailsWhenDataBlockDead) {
-  const Buffer file = make_file();
-  const FileId id = fs.write(file);
-  fs.fail_server(3);  // every Galloper block holds original data
-  EXPECT_FALSE(fs.read_original_only(id).has_value());
-  EXPECT_TRUE(fs.read(id).has_value()) << "decoding path still works";
 }
 
 TEST_F(FileStoreTest, RepairUsesLocalHelpersWhenAlive) {
@@ -265,7 +296,6 @@ TEST_F(FileStoreTest, UpdateRangeChangesFileAndKeepsConsistency) {
   EXPECT_FALSE(touched.empty());
   std::copy(fresh.begin(), fresh.end(),
             file.begin() + static_cast<ptrdiff_t>(3 * chunk));
-  EXPECT_EQ(*fs.read_original_only(id), file);
   EXPECT_EQ(*fs.read(id), file) << "parity patched consistently";
   EXPECT_TRUE(fs.scrub().empty()) << "checksums refreshed";
 }
@@ -312,7 +342,7 @@ TEST_F(FileStoreTest, ScrubDetectsAndQuarantinesCorruption) {
   // Repair restores the block bit-exactly and a re-scrub is clean.
   ASSERT_TRUE(fs.repair(id, 3).has_value());
   EXPECT_TRUE(fs.scrub().empty());
-  EXPECT_EQ(*fs.read_original_only(id), file);
+  EXPECT_EQ(*fs.read(id), file);
 }
 
 TEST_F(FileStoreTest, ScrubWithoutQuarantineLeavesBlock) {
@@ -366,7 +396,7 @@ TEST(Recovery, RebuildsEverythingBitExact) {
   for (size_t i = 0; i < ids.size(); ++i) {
     for (size_t b = 0; b < code.num_blocks(); ++b)
       EXPECT_TRUE(fs.block_available(ids[i], b));
-    EXPECT_EQ(*fs.read_original_only(ids[i]), files[i]);
+    EXPECT_EQ(*fs.read(ids[i]), files[i]);
   }
 }
 
