@@ -166,6 +166,10 @@ LoadGenResult run_load(const LoadGenOptions& opt) {
         } catch (const CheckError&) {
           // Degraded stripe: updates are refused by design — repair first.
           errors.fetch_add(1, std::memory_order_relaxed);
+        } catch (const fault::TransientError&) {
+          // The stripe kept changing under the update; the store kept the
+          // old bytes, so the mirror does too.
+          errors.fetch_add(1, std::memory_order_relaxed);
         }
       } else {
         const size_t off = rng.next_below(file_bytes);
@@ -196,13 +200,16 @@ LoadGenResult run_load(const LoadGenOptions& opt) {
   // data chunk, and the untimed read-back below reads every data chunk, so
   // every flip meets a read even though reads verify only the segments
   // they decode from. Only files with no lost blocks are touched, so the
-  // stripe never exceeds the code's correction budget.
+  // stripe never exceeds the code's correction budget. Flips still due when
+  // the clients finish land at once, before the read-back: a run that
+  // outpaces the timer still meets every flip it asked for.
   std::thread chaos;
   Rng chaos_rng = setup_rng.fork();
   if (opt.corruptions > 0) {
     chaos = std::thread([&]() mutable {
-      for (size_t i = 0; i < opt.corruptions && !done.load(); ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      for (size_t i = 0; i < opt.corruptions; ++i) {
+        if (!done.load())
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
         const size_t f = chaos_rng.next_below(opt.files);
         std::unique_lock<std::shared_mutex> lock(*file_mu[f]);
         if (!store.lost_blocks(f).empty()) continue;

@@ -38,7 +38,8 @@ struct LoadGenOptions {
   bool degraded = false;
   double stall_p = 0.25;    // per-fetch injected latency probability
   double stall_s = 0.002;   // injected stall length (wall seconds)
-  size_t corruptions = 0;   // blocks the chaos thread flips mid-run
+  size_t corruptions = 0;   // blocks the chaos thread flips (mid-run, or
+                            // at its end if the clients finish first)
 
   // Client plumbing.
   bool pipelined = true;    // false = direct FileStore::read_range per batch

@@ -139,6 +139,13 @@ CodecEngine::CodecEngine(la::Matrix stripe_generator, size_t num_blocks,
             {static_cast<uint32_t>(r), t.coeff});
     }
   }
+  update_stripes_.resize(chunk_pos_.size());
+  for (size_t c = 0; c < chunk_pos_.size(); ++c) {
+    update_stripes_[c].push_back(chunk_pos_[c]);
+    for (const Term& t : chunk_consumers_[c])
+      update_stripes_[c].push_back(
+          {t.col / stripes_per_block_, t.col % stripes_per_block_});
+  }
 
   // Compile the encode schedule once: sources address the file as slot 0
   // with pos = chunk index, so execution is the same run_row dispatch every
@@ -486,11 +493,65 @@ std::optional<Buffer> CodecEngine::read_range(
 
 // ---- In-place update ------------------------------------------------------
 
+const std::vector<StripeRef>& CodecEngine::update_stripes(
+    size_t chunk) const {
+  GALLOPER_CHECK(chunk < num_chunks());
+  return update_stripes_[chunk];
+}
+
+bool CodecEngine::update_chunk(size_t chunk,
+                               std::span<const ByteSpan> stripes,
+                               ConstByteSpan new_data, size_t threads) const {
+  require_threads(threads);
+  const std::vector<StripeRef>& targets = update_stripes(chunk);
+  GALLOPER_CHECK_MSG(stripes.size() == targets.size(),
+                     "update of chunk " << chunk << " writes "
+                                        << targets.size() << " stripes, got "
+                                        << stripes.size());
+  const size_t chunk_bytes = new_data.size();
+  for (const ByteSpan& s : stripes)
+    GALLOPER_CHECK_MSG(s.size() == chunk_bytes,
+                       "update data must be exactly one chunk: "
+                           << chunk_bytes << " vs " << s.size());
+
+  // delta = old ⊕ new, then parity' = parity ⊕ coeff·delta. The schedule —
+  // which parity stripes consume this chunk, with which coefficients — is
+  // chunk_consumers_, compiled at engine construction; stripes[i + 1] is
+  // consumer i's stripe.
+  const ByteSpan stored = stripes[0];
+  Buffer delta(new_data.begin(), new_data.end());
+  gf::xor_region(delta, stored);
+  if (std::all_of(delta.begin(), delta.end(),
+                  [](uint8_t b) { return b == 0; }))
+    return false;  // no change, no I/O
+  std::copy(new_data.begin(), new_data.end(), stored.begin());
+
+  // Each runner owns a cache-line-aligned byte slice of the chunk and
+  // patches EVERY dependent parity stripe within it (same-offset bytes of
+  // different stripes never overlap, so slices are the only partition
+  // needed). Inside a slice the delta propagation is tiled so one
+  // L1-resident piece of delta patches all dependents before moving on.
+  const std::vector<Term>& consumers = chunk_consumers_[chunk];
+  const ExecTimer timer(PlanOp::kUpdate);
+  const auto slices = rt::slice_ranges(chunk_bytes, threads, rt::kCacheLine);
+  rt::parallel_for(
+      rt::ThreadPool::global(), slices.size(), threads, [&](size_t si) {
+        const rt::SliceRange& s = slices[si];
+        for (size_t off = s.lo; off < s.hi; off += kUpdateTile) {
+          const size_t len = std::min(kUpdateTile, s.hi - off);
+          const ConstByteSpan dslice(delta.data() + off, len);
+          for (size_t i = 0; i < consumers.size(); ++i)
+            gf::mul_acc_region(stripes[i + 1].subspan(off, len),
+                               consumers[i].coeff, dslice);
+        }
+      });
+  return true;
+}
+
 std::vector<size_t> CodecEngine::update_chunk(std::vector<Buffer>& blocks,
                                               size_t chunk,
                                               ConstByteSpan new_data,
                                               size_t threads) const {
-  require_threads(threads);
   GALLOPER_CHECK(chunk < num_chunks());
   GALLOPER_CHECK_MSG(blocks.size() == num_blocks_,
                      "update needs all current blocks");
@@ -501,45 +562,14 @@ std::vector<size_t> CodecEngine::update_chunk(std::vector<Buffer>& blocks,
   GALLOPER_CHECK_MSG(new_data.size() == chunk_bytes,
                      "update data must be exactly one chunk: "
                          << new_data.size() << " vs " << chunk_bytes);
-
-  const StripeRef home = chunk_pos_[chunk];
-  ByteSpan stored(blocks[home.block].data() + home.pos * chunk_bytes,
-                  chunk_bytes);
-  // delta = old ⊕ new, then parity' = parity ⊕ coeff·delta. The schedule —
-  // which parity stripes consume this chunk, with which coefficients — is
-  // chunk_consumers_, compiled at engine construction.
-  Buffer delta(new_data.begin(), new_data.end());
-  gf::xor_region(delta, stored);
-  if (std::all_of(delta.begin(), delta.end(),
-                  [](uint8_t b) { return b == 0; }))
-    return {};  // no change, no I/O
-
-  std::vector<size_t> touched{home.block};
-  std::copy(new_data.begin(), new_data.end(), stored.begin());
-  for (const Term& t : chunk_consumers_[chunk])
-    touched.push_back(t.col / stripes_per_block_);  // Term reused: col = row
-  // Each runner owns a cache-line-aligned byte slice of the chunk and
-  // patches EVERY dependent parity stripe within it (same-offset bytes of
-  // different stripes never overlap, so slices are the only partition
-  // needed). Inside a slice the delta propagation is tiled so one
-  // L1-resident piece of delta patches all dependents before moving on.
-  const ExecTimer timer(PlanOp::kUpdate);
-  const auto slices = rt::slice_ranges(chunk_bytes, threads, rt::kCacheLine);
-  rt::parallel_for(
-      rt::ThreadPool::global(), slices.size(), threads, [&](size_t si) {
-        const rt::SliceRange& s = slices[si];
-        for (size_t off = s.lo; off < s.hi; off += kUpdateTile) {
-          const size_t len = std::min(kUpdateTile, s.hi - off);
-          const ConstByteSpan dslice(delta.data() + off, len);
-          for (const Term& t : chunk_consumers_[chunk]) {
-            const size_t b = t.col / stripes_per_block_;
-            const size_t p = t.col % stripes_per_block_;
-            gf::mul_acc_region(
-                ByteSpan(blocks[b].data() + p * chunk_bytes + off, len),
-                t.coeff, dslice);
-          }
-        }
-      });
+  std::vector<ByteSpan> stripes;
+  std::vector<size_t> touched;
+  for (const StripeRef& s : update_stripes(chunk)) {
+    stripes.emplace_back(blocks[s.block].data() + s.pos * chunk_bytes,
+                         chunk_bytes);
+    touched.push_back(s.block);
+  }
+  if (!update_chunk(chunk, stripes, new_data, threads)) return {};
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   return touched;

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "codes/layout.h"
@@ -107,12 +108,27 @@ class CodecEngine {
       const std::map<size_t, ConstByteSpan>& blocks, size_t offset,
       size_t length, size_t threads = 1) const;
 
-  // Overwrites data chunk `chunk` with `new_data` (one chunk's worth of
-  // bytes) and patches every parity stripe that depends on it via the
-  // delta: parity' = parity ⊕ coeff·(old ⊕ new). `blocks` must hold ALL
-  // current blocks (they are modified in place). Returns the ids of the
-  // blocks that were touched — the write I/O set of a systematic in-place
-  // update.
+  // In-place update of one data chunk, in two forms over ONE kernel. The
+  // stripes a chunk update writes are update_stripes(chunk): the chunk's
+  // home (systematic) stripe first, then every parity stripe whose
+  // generator row reads the chunk — for an LRC its local parity and the g
+  // global parities, a few stripes rather than every block.
+  const std::vector<StripeRef>& update_stripes(size_t chunk) const;
+
+  // The stripe form: `stripes[i]` holds the current bytes of
+  // update_stripes(chunk)[i] — one chunk's worth each, modified in place,
+  // so a caller can pass views into any buffers (FileStore passes verified
+  // segment windows). Writes `new_data` into the home stripe and patches
+  // every parity stripe via the delta: parity' = parity ⊕ coeff·(old ⊕
+  // new). Returns false, touching nothing, when new_data equals the stored
+  // chunk.
+  bool update_chunk(size_t chunk, std::span<const ByteSpan> stripes,
+                    ConstByteSpan new_data, size_t threads = 1) const;
+
+  // The whole-block form: `blocks` must hold ALL current blocks (modified
+  // in place); slices them into the stripe form. Returns the sorted ids of
+  // the blocks touched — the write I/O set of a systematic in-place update
+  // (empty when nothing changed).
   std::vector<size_t> update_chunk(std::vector<Buffer>& blocks, size_t chunk,
                                    ConstByteSpan new_data,
                                    size_t threads = 1) const;
@@ -217,6 +233,9 @@ class CodecEngine {
   // Transposed sparsity: for each chunk, the parity stripes touching it
   // (row index + coefficient) — drives update_chunk().
   std::vector<std::vector<Term>> chunk_consumers_;
+  // update_stripes(): per chunk, its home stripe, then chunk_consumers_'s
+  // stripes in the same order.
+  std::vector<std::vector<StripeRef>> update_stripes_;
   // decodable()'s memo: word m / 32 holds mask m's 2-bit state at bit
   // 2·(m % 32) (0 unknown, 1 no, 2 yes). Null above
   // kDecodableMemoMaxBlocks. Shared by copies, like engine_id_.

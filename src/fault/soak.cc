@@ -283,9 +283,11 @@ SoakReport run_soak(const SoakOptions& options) {
                         static_cast<ptrdiff_t>(first * chunk));
           ++report.updates;
         } catch (const CheckError&) {
-          // The stripe had a silently corrupt block: the update refused
-          // (corruption must not be laundered into fresh parity) and
-          // quarantined it. Heal and move on.
+          // A segment the update verifies — one covering a stripe it
+          // writes — was silently corrupt: the update refused (corruption
+          // must not be laundered into fresh parity) and quarantined its
+          // block. Corruption elsewhere in the stripe is scrub's job and
+          // does not refuse. Heal and move on.
           ++report.updates_refused;
           (void)heal_lost(fs, options, /*strict=*/false);
         }

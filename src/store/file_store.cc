@@ -40,6 +40,30 @@ bool rows_solvable(const codes::CodecPlan& plan, size_t chunk, size_t lo,
   return true;
 }
 
+// One block's update window: the sorted segments covering the stripes an
+// update writes in that block, copied back to back. Every segment but a
+// block's last is full, so block byte x sits at i·kSegmentBytes +
+// x % kSegmentBytes of the copy when x's segment is segs[i], and a stripe
+// — whose covering segments are consecutive ids — is contiguous in it.
+struct UpdateWindow {
+  std::vector<size_t> segs;
+  Buffer bytes;
+  std::vector<uint32_t> crcs;  // of the patched segments
+  // What the verify saw, re-checked by the install.
+  uint64_t generation = 0;
+  size_t server = 0;
+  uint64_t epoch = 0;
+
+  ByteSpan at(size_t block_offset, size_t length) {
+    const size_t i = static_cast<size_t>(
+        std::lower_bound(segs.begin(), segs.end(),
+                         block_offset / kSegmentBytes) -
+        segs.begin());
+    return ByteSpan(bytes).subspan(
+        i * kSegmentBytes + block_offset % kSegmentBytes, length);
+  }
+};
+
 }  // namespace
 
 // Every store data path that touches more than one block runs in parallel:
@@ -59,7 +83,8 @@ bool rows_solvable(const codes::CodecPlan& plan, size_t chunk, size_t lo,
 // Locking discipline (mu_ is the block-state reader/writer lock):
 //  - probes/decodes take mu_ SHARED, re-checking residency inside (a
 //    concurrent reader may have quarantined the block since submission);
-//  - quarantine/install/update take mu_ EXCLUSIVE;
+//  - quarantine/install and an update's install take mu_ EXCLUSIVE (an
+//    update verifies and copies its windows under mu_ SHARED);
 //  - mu_ is never held across a FetchSet await/join, so a probe parked in
 //    an injected stall cannot wedge writers (the stall runs BEFORE the
 //    probe body via FetchSet's stall_s, outside any lock);
@@ -179,6 +204,7 @@ FileId FileStore::write_encoded(std::vector<Buffer> blocks) {
   files_.push_back(std::move(stored));
   checksums_.push_back(std::move(crcs));
   block_gens_.emplace_back(code_.num_blocks(), 0);
+  update_mu_.push_back(std::make_unique<std::mutex>());
   return id;
 }
 
@@ -305,80 +331,146 @@ std::optional<Buffer> FileStore::read_original_split(FileId id, size_t b,
 
 std::vector<size_t> FileStore::update_range(FileId id, size_t offset,
                                             ConstByteSpan data) {
-  // Phase 1 (exclusive): verify the stripe and compute the patched blocks
-  // into LOCAL copies — files_ itself is untouched, so a throw (degraded
-  // stripe, quarantined corruption) leaves the store exactly as it was.
-  std::vector<Buffer> blocks;
-  std::vector<size_t> touched;
+  const codes::CodecEngine& engine = code_.engine();
+  size_t bbytes = 0;
+  std::mutex* file_mu = nullptr;
   {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    std::shared_lock<std::shared_mutex> lock(mu_);
     GALLOPER_CHECK(id < files_.size());
-    const size_t chunk =
-        file_block_bytes_[id] / code_.engine().stripes_per_block();
-    GALLOPER_CHECK_MSG(offset % chunk == 0 && data.size() % chunk == 0,
-                       "updates must be chunk-aligned (chunk = " << chunk
-                                                                 << " bytes)");
-    const size_t first = offset / chunk;
-    const size_t count = data.size() / chunk;
-    GALLOPER_CHECK(first + count <= code_.engine().num_chunks());
-    for (size_t b = 0; b < code_.num_blocks(); ++b)
-      GALLOPER_CHECK_MSG(block_available_locked(id, b),
-                         "in-place update on a degraded stripe: repair block "
-                             << b << " first");
-    // CRC-verify before patching: a delta update against a silently corrupt
-    // block would recompute its checksum over the corrupt bytes, laundering
-    // the damage into a "valid" state no scrub could ever catch. Quarantine
-    // the block and refuse instead — the caller repairs, then retries.
-    for (size_t b = 0; b < code_.num_blocks(); ++b) {
-      if (!first_bad_segment_locked(id, b)) continue;
-      bump_generation_locked(id, b);
-      files_[id][b].reset();
+    bbytes = file_block_bytes_[id];
+    file_mu = update_mu_[id].get();
+  }
+  const size_t chunk = bbytes / engine.stripes_per_block();
+  GALLOPER_CHECK_MSG(offset % chunk == 0 && data.size() % chunk == 0,
+                     "updates must be chunk-aligned (chunk = " << chunk
+                                                               << " bytes)");
+  const size_t first = offset / chunk;
+  const size_t count = data.size() / chunk;
+  GALLOPER_CHECK(first + count <= engine.num_chunks());
+
+  // The windows, one per block the range's chunk updates write, each
+  // stripe covered once however many chunks write it.
+  std::map<size_t, UpdateWindow> windows;
+  for (size_t c = first; c < first + count; ++c)
+    for (const codes::StripeRef& s : engine.update_stripes(c))
+      for (size_t g = s.pos * chunk / kSegmentBytes;
+           g * kSegmentBytes < (s.pos + 1) * chunk; ++g)
+        windows[s.block].segs.push_back(g);
+  for (auto& [b, w] : windows) {
+    std::sort(w.segs.begin(), w.segs.end());
+    w.segs.erase(std::unique(w.segs.begin(), w.segs.end()), w.segs.end());
+  }
+
+  // The store serializes updates to one file: two updates patching parity
+  // from the same pre-image would each install a stripe matching neither.
+  std::lock_guard<std::mutex> serial(*file_mu);
+  constexpr size_t kMaxUpdateAttempts = 8;
+  for (size_t attempt = 0; attempt < kMaxUpdateAttempts; ++attempt) {
+    // Phase 1 (shared): copy each window, CRC-check the copy segment by
+    // segment (the check covers exactly the bytes the deltas patch), and
+    // capture what the install re-checks. files_ is untouched, so a throw
+    // leaves the store as it was.
+    std::optional<std::pair<size_t, size_t>> bad;  // (block, segment)
+    {
+      std::shared_lock<std::shared_mutex> lock(mu_);
+      for (size_t b = 0; b < code_.num_blocks(); ++b)
+        GALLOPER_CHECK_MSG(block_available_locked(id, b),
+                           "in-place update on a degraded stripe: repair block "
+                               << b << " first");
+      size_t checked = 0;
+      for (auto& [b, w] : windows) {
+        w.generation = block_gens_[id][b];
+        w.server = placement_[b];
+        w.epoch = cluster_.server(w.server).epoch();
+        w.bytes = Buffer((w.segs.size() - 1) * kSegmentBytes +
+                         segment_size(bbytes, w.segs.back()));
+        const ConstByteSpan blk(*files_[id][b]);
+        for (size_t j = 0; j < w.segs.size() && !bad; ++j) {
+          const ConstByteSpan src = segment_of(blk, w.segs[j]);
+          const ByteSpan dst = ByteSpan(w.bytes).subspan(j * kSegmentBytes,
+                                                         src.size());
+          std::copy(src.begin(), src.end(), dst.begin());
+          checked += src.size();
+          if (crc32c(ConstByteSpan(dst)) != checksums_[id][b][w.segs[j]])
+            bad.emplace(b, w.segs[j]);
+        }
+        if (bad) break;
+      }
+      counters_.update_verified_bytes.fetch_add(checked,
+                                                std::memory_order_relaxed);
+    }
+    // A delta update against a silently corrupt segment would recompute
+    // its checksum over the corrupt bytes, laundering the damage into a
+    // "valid" state no scrub could ever catch. Quarantine and refuse
+    // instead — the caller repairs, then retries.
+    if (bad) {
+      quarantine_if_corrupt(id, bad->first, bad->second);
       GALLOPER_CHECK_MSG(false, "update found block "
-                                    << b
+                                    << bad->first
                                     << " silently corrupt (quarantined): "
                                        "repair before updating");
     }
-    blocks.reserve(code_.num_blocks());
-    for (size_t b = 0; b < code_.num_blocks(); ++b)
-      blocks.emplace_back(files_[id][b]->size());
-    for (size_t b = 0; b < code_.num_blocks(); ++b)
-      std::copy(files_[id][b]->begin(), files_[id][b]->end(),
-                blocks[b].begin());
-    for (size_t c = 0; c < count; ++c) {
-      const auto t = code_.engine().update_chunk(
-          blocks, first + c, data.subspan(c * chunk, chunk));
-      touched.insert(touched.end(), t.begin(), t.end());
+    std::vector<size_t> touched;
+    std::vector<ByteSpan> stripes;
+    for (size_t c = first; c < first + count; ++c) {
+      const std::vector<codes::StripeRef>& targets = engine.update_stripes(c);
+      stripes.clear();
+      for (const codes::StripeRef& s : targets)
+        stripes.push_back(windows.at(s.block).at(s.pos * chunk, chunk));
+      if (!engine.update_chunk(c, stripes,
+                               data.subspan((c - first) * chunk, chunk)))
+        continue;
+      for (const codes::StripeRef& s : targets) touched.push_back(s.block);
     }
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  }
 
-  // Phase 2 (no lock): the touched blocks hit "disk" — they alone ride the
-  // injector's write-fault schedule. The callbacks run UNLOCKED because a
-  // write gate may call back into the store (soak harness). The checksum
-  // recorded below keeps the TRUE value, so a fault is a silent corruption.
-  std::vector<std::vector<uint32_t>> new_crcs(touched.size());
-  for (size_t i = 0; i < touched.size(); ++i) {
-    const size_t b = touched[i];
-    new_crcs[i] = segment_crcs(blocks[b]);
-    if (injector_)
-      injector_->on_write(
-          id, b, std::span<uint8_t>(blocks[b].data(), blocks[b].size()));
-  }
+    // Phase 2 (no lock): each written window hits "disk" — one write-fault
+    // draw per block. The callbacks run UNLOCKED because a write gate may
+    // call back into the store (soak harness). The checksums computed
+    // first keep the TRUE values, so a fault is a silent corruption.
+    for (size_t b : touched) {
+      UpdateWindow& w = windows.at(b);
+      w.crcs.clear();
+      for (size_t j = 0; j < w.segs.size(); ++j)
+        w.crcs.push_back(crc32c(ConstByteSpan(w.bytes).subspan(
+            j * kSegmentBytes, segment_size(bbytes, w.segs[j]))));
+      if (injector_) injector_->on_write(id, b, w.bytes);
+    }
 
-  // Phase 3 (exclusive): install. Callers serialize updates against reads
-  // and chaos on the same file (the load-gen harness locks), so nothing
-  // mutated the stripe between the phases.
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  for (size_t i = 0; i < touched.size(); ++i) {
-    const size_t b = touched[i];
-    // Bump-then-install under one exclusive hold: any cache entry holding
-    // the pre-update bytes is stale the instant the new content is visible.
-    bump_generation_locked(id, b);
-    files_[id][b] = std::move(blocks[b]);
-    checksums_[id][b] = std::move(new_crcs[i]);
+    // Phase 3 (exclusive): install, unless a written block moved on since
+    // phase 1 — a kill (epoch), a slot reassignment (placement) or a
+    // quarantine/repair (generation). Installing then could resurrect a
+    // block onto a dead server or overwrite bytes the window never saw.
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    const bool stale =
+        std::any_of(touched.begin(), touched.end(), [&](size_t b) {
+          const UpdateWindow& w = windows.at(b);
+          return block_gens_[id][b] != w.generation ||
+                 placement_[b] != w.server ||
+                 cluster_.server(w.server).epoch() != w.epoch;
+        });
+    if (stale) continue;
+    for (size_t b : touched) {
+      const UpdateWindow& w = windows.at(b);
+      // Bump-then-install under one exclusive hold: any cache entry holding
+      // the pre-update bytes is stale the instant the new content is
+      // visible.
+      bump_generation_locked(id, b);
+      Buffer& blk = *files_[id][b];
+      for (size_t j = 0; j < w.segs.size(); ++j) {
+        const size_t g = w.segs[j];
+        std::memcpy(blk.data() + g * kSegmentBytes,
+                    w.bytes.data() + j * kSegmentBytes,
+                    segment_size(bbytes, g));
+        checksums_[id][b][g] = w.crcs[j];
+      }
+    }
+    return touched;
   }
-  return touched;
+  throw fault::TransientError("blocks of an update of file " +
+                              std::to_string(id) +
+                              " kept changing between verify and install");
 }
 
 void FileStore::corrupt_block(FileId id, size_t block, size_t offset) {
@@ -491,6 +583,8 @@ FileStore::ReadStats FileStore::read_stats() const {
   s.auto_repairs = counters_.auto_repairs.load(std::memory_order_relaxed);
   s.replanned_reads =
       counters_.replanned_reads.load(std::memory_order_relaxed);
+  s.update_verified_bytes =
+      counters_.update_verified_bytes.load(std::memory_order_relaxed);
   return s;
 }
 

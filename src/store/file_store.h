@@ -19,15 +19,22 @@
 // sources read, and decodes from those verified copies. A corrupt segment
 // is quarantined with its whole block and the read replans around it.
 // Corruption outside a read's sources is, deliberately, not that read's
-// business: scrub() (or a later read that covers it) finds it. Scrub,
-// update_range and repair check every segment of every block they touch.
+// business: scrub() (or a later read that covers it) finds it. Updates are
+// range-proportional the same way: update_range verifies, copies and
+// re-checksums only the segments covering the stripes its deltas write.
+// Scrub and repair check every segment of every block they touch.
 //
 // Thread safety: the data paths (write/read/read_range/update_range/repair/
 // scrub and the client-session API) may run concurrently from many client
 // threads. Block state lives under one reader/writer lock — reads, probes,
-// and decodes take it shared; quarantine, store-back, and updates take it
-// exclusive — and the lock is NEVER held while blocked in a FetchSet await,
-// so a parked probe cannot wedge a writer. The pinned repair-plan map has
+// decodes and an update's verify-and-copy take it shared; quarantine,
+// store-back, and an update's install take it exclusive — and the lock is
+// NEVER held while blocked in a FetchSet await, so a parked probe cannot
+// wedge a writer. Updates to one file serialize on that file's update
+// mutex, which the store owns (callers need no lock of their own), and an
+// update's install re-checks the generation, placement and server epoch it
+// captured for every block it writes, retrying on any change — the
+// pattern repair() uses below. The pinned repair-plan map has
 // its own mutex, and the read counters are atomics snapshotted by value.
 // fail_server/revive_server may race in-flight operations: server liveness
 // is a monotonic atomic EPOCH (even = alive, odd = dead; every transition
@@ -206,6 +213,7 @@ class FileStore {
     size_t transient_faults = 0;  // injected read faults retried in place
     size_t auto_repairs = 0;    // corrupt blocks rebuilt by a read
     size_t replanned_reads = 0;  // ranged reads that dropped a block mid-read
+    size_t update_verified_bytes = 0;  // bytes CRC-checked by update_range
   };
   // Snapshot by value — safe to call while reads are in flight.
   ReadStats read_stats() const;
@@ -285,14 +293,24 @@ class FileStore {
                                     size_t depth);
 
   // Overwrites the chunk-aligned range [offset, offset + data.size()) of
-  // the original file in place, patching parity via deltas and refreshing
-  // the stored checksums. All blocks must be available AND CRC-clean in
-  // every segment (in-place update on a degraded stripe is refused —
-  // repair first; a
-  // silently corrupt block is quarantined and the update throws, because
-  // patching it would launder the corruption into a "valid" checksum).
-  // Returns the blocks written. offset and size must be multiples of the
-  // chunk size (block_bytes / stripes_per_block).
+  // the original file in place, patching parity via deltas. Only the
+  // stripes the deltas write are touched (CodecEngine::update_stripes):
+  // per written block, the update verifies and copies the segments
+  // covering them (its WINDOW, counted in ReadStats::update_verified_bytes),
+  // patches the copies, and installs them with fresh checksums for just
+  // those segments. All blocks must be available (an in-place update on a
+  // degraded stripe is refused with CheckError — repair first). A corrupt
+  // segment inside a window is quarantined with its block and the update
+  // throws CheckError, because patching it would launder the corruption
+  // into a "valid" checksum; corruption outside every window is left for
+  // scrub(), as it is for reads. Concurrent updates to one file serialize
+  // inside the store. If a written block changed generation, placement or
+  // server epoch between verify and install (a kill, quarantine or
+  // reassignment raced the update), the update re-runs from the verify —
+  // a block now gone surfaces as the degraded-stripe CheckError — and
+  // throws fault::TransientError if that keeps happening. Returns the
+  // blocks written. offset and size must be multiples of the chunk size
+  // (block_bytes / stripes_per_block).
   std::vector<size_t> update_range(FileId id, size_t offset,
                                    ConstByteSpan data);
 
@@ -429,8 +447,13 @@ class FileStore {
     std::atomic<size_t> transient_faults{0};
     std::atomic<size_t> auto_repairs{0};
     std::atomic<size_t> replanned_reads{0};
+    std::atomic<size_t> update_verified_bytes{0};
   };
-  mutable ReadCounters counters_;
+  // counters_ and mu_ are written by every concurrent read, so each starts
+  // its own cache line (64 bytes on every target we build for), and
+  // placement_ starts the line after mu_: those writes must not keep
+  // invalidating the read-mostly fields around them.
+  alignas(64) mutable ReadCounters counters_;
 
   // Pinned repair plans keyed by (failed block, sorted helper set). Held by
   // shared_ptr for the store's lifetime, so storm waves never replan even
@@ -445,13 +468,17 @@ class FileStore {
   // Injector callbacks may call back into the store (the soak harness's
   // write gate does), so they must NEVER run under mu_.
   std::mutex write_mu_;
+  // update_mu_[id]: serializes update_range calls on file id. Appended with
+  // files_ (under mu_); an update looks its mutex up under mu_ shared and
+  // then locks it with mu_ released, never the other way round.
+  std::vector<std::unique_ptr<std::mutex>> update_mu_;
 
   // Guards files_/checksums_/file_block_bytes_/placement_ (see the
   // thread-safety note in the class comment).
-  mutable std::shared_mutex mu_;
+  alignas(64) mutable std::shared_mutex mu_;
   // placement_[block slot] → server id (identity unless set_placement /
   // reassign_block changed it). Liveness of slot b is its server's.
-  std::vector<size_t> placement_;
+  alignas(64) std::vector<size_t> placement_;
   // files_[id][block] — nullopt once lost.
   std::vector<std::vector<std::optional<Buffer>>> files_;
   // checksums_[id][block][segment] — CRC-32C at write time.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include "codes/reed_solomon.h"
@@ -35,6 +37,18 @@ class FileStoreTest : public ::testing::Test {
     return random_buffer(code.engine().num_chunks() * chunk, rng);
   }
 };
+
+// Every stored block of `id` equals the encode of `mirror`.
+void expect_blocks_encode(FileStore& fs, FileId id, const Buffer& mirror) {
+  const std::vector<Buffer> want = fs.code().encode(mirror);
+  for (size_t b = 0; b < want.size(); ++b) {
+    const auto got = fs.block(id, b);
+    ASSERT_TRUE(got.has_value()) << "block " << b;
+    EXPECT_TRUE(std::equal(got->begin(), got->end(), want[b].begin(),
+                           want[b].end()))
+        << "block " << b << " differs from encode(mirror)";
+  }
+}
 
 TEST_F(FileStoreTest, WriteThenReadRoundTrip) {
   const Buffer file = make_file();
@@ -314,6 +328,44 @@ TEST_F(FileStoreTest, UpdateThenDegradedReadSeesNewData) {
   EXPECT_EQ(*degraded, file);
 }
 
+// The kill-between-phases race, pinned deterministically: the write-fault
+// gate — which fires between an update's verify and its install — kills
+// the server of a block the update writes. The install must see the moved
+// epoch and generation and re-run, meeting the lost block as a degraded
+// stripe; it must never land the block on the dead server, where the
+// revive would bring back bytes it declares lost.
+TEST_F(FileStoreTest, KillBetweenUpdatePhasesCannotResurrectAcrossRevive) {
+  const size_t chunk = 128;
+  const Buffer file = make_file(chunk);
+  const FileId id = fs.write(file);
+  const size_t victim = code.engine().update_stripes(0).back().block;
+
+  fault::FaultInjector inj(7);
+  inj.set_bit_flip_rate(1.0);  // every written block consults the gate
+  bool killed = false;
+  inj.set_write_gate([&](size_t, size_t b) {
+    if (b == victim && !killed) {
+      killed = true;
+      fs.fail_server(fs.server_of(b));  // lands between verify and install
+    }
+    return false;  // veto the flip itself: only the timing matters
+  });
+  fs.set_fault_injector(&inj);
+  EXPECT_THROW(fs.update_range(id, 0, Buffer(chunk, 0x5A)), CheckError);
+  fs.set_fault_injector(nullptr);
+  ASSERT_TRUE(killed);
+
+  fs.revive_server(fs.server_of(victim));
+  const std::vector<size_t> lost = fs.lost_blocks(id);
+  EXPECT_NE(std::find(lost.begin(), lost.end(), victim), lost.end())
+      << "the update must not have resurrected block " << victim
+      << " onto its dead server";
+  // Nothing was installed: once repaired, the file is the original.
+  ASSERT_TRUE(fs.repair(id, victim).has_value());
+  EXPECT_EQ(*fs.read(id), file);
+  EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
+}
+
 TEST_F(FileStoreTest, UpdateRejectsUnalignedOrDegraded) {
   const size_t chunk = 128;
   const FileId id = fs.write(make_file(chunk));
@@ -545,18 +597,21 @@ TEST_F(FileStoreTest, ScrubAndRepairHealsMultipleCorruptions) {
 TEST_F(FileStoreTest, UpdateRefusesSilentlyCorruptStripe) {
   const Buffer file = make_file();
   const FileId id = fs.write(file);
-  fs.corrupt_block(id, 2, 9);
+  const size_t chunk = fs.block_bytes(id) / code.engine().stripes_per_block();
+  // Rot a byte of a parity stripe the update of chunk 0 writes: inside the
+  // update's window.
+  const codes::StripeRef rotten = code.engine().update_stripes(0).back();
+  fs.corrupt_block(id, rotten.block, rotten.pos * chunk + 9);
 
   // Patching a stripe whose block is silently rotten would launder the
   // corruption into fresh parity + a fresh checksum. The update must
   // refuse AND quarantine the bad block instead of trusting it.
-  const size_t chunk = fs.block_bytes(id) / code.engine().stripes_per_block();
   const Buffer patch(chunk, 0x5A);
   EXPECT_THROW(fs.update_range(id, 0, patch), CheckError);
-  EXPECT_EQ(fs.lost_blocks(id), std::vector<size_t>{2});
+  EXPECT_EQ(fs.lost_blocks(id), std::vector<size_t>{rotten.block});
 
   // Repair, then the same update goes through and reads verify.
-  ASSERT_TRUE(fs.repair(id, 2).has_value());
+  ASSERT_TRUE(fs.repair(id, rotten.block).has_value());
   Buffer want = file;
   std::copy(patch.begin(), patch.end(), want.begin());
   fs.update_range(id, 0, patch);
@@ -723,6 +778,171 @@ TEST(SegmentVerifyTest, OtherFilesReadersFinishDuringRepairWithBadHelper) {
   fs.set_fault_injector(nullptr);
   ASSERT_TRUE(fs.repair(a, helpers[0]).has_value());
   EXPECT_EQ(*fs.read(a), fa);
+  EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
+}
+
+// ---- Range-proportional, race-safe updates -------------------------------
+
+// Concurrent updates of different chunks of one file, released together
+// every round. Each patches parity from the pre-image it read, so without
+// serialization inside the store the last install per block wins and the
+// stripe matches the encode of neither result — with checksums recomputed
+// over those wrong bytes, so scrub reports nothing. The store serializes
+// updates to a file itself: the blocks must end up exactly
+// encode(mirror), and scrub-clean.
+TEST(UpdateRaceTest, ConcurrentUpdatesOfOneFileMatchEncodeOfMirror) {
+  core::GalloperCode code(4, 2, 2);
+  sim::Simulation simulation;
+  sim::Cluster cluster(simulation, code.num_blocks(), sim::ServerSpec{});
+  FileStore fs(cluster, code);
+  const size_t chunk = 64 << 10;
+  Rng rng(57);
+  Buffer mirror = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const FileId id = fs.write(mirror);
+
+  constexpr size_t kThreads = 4, kRounds = 24;
+  std::barrier sync(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng local(100 + t);
+      for (size_t r = 0; r < kRounds; ++r) {
+        const Buffer patch = random_buffer(chunk, local);
+        sync.arrive_and_wait();
+        fs.update_range(id, t * chunk, patch);
+        // Thread t alone owns chunk t of the mirror.
+        std::copy(patch.begin(), patch.end(),
+                  mirror.begin() + static_cast<ptrdiff_t>(t * chunk));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  expect_blocks_encode(fs, id, mirror);
+  EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
+}
+
+// A one-chunk update of a (4,2,2) file with 1 MiB chunks verifies exactly
+// the stripes it writes — at most 8 MiB, where verifying every block
+// checks 32 MiB.
+TEST(UpdateWindowTest, OneChunkUpdateVerifiesOnlyItsStripes) {
+  core::GalloperCode code(4, 2, 2);
+  sim::Simulation simulation;
+  sim::Cluster cluster(simulation, code.num_blocks(), sim::ServerSpec{});
+  FileStore fs(cluster, code);
+  const size_t chunk = size_t{1} << 20;
+  Rng rng(59);
+  Buffer mirror = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const FileId id = fs.write(mirror);
+  for (size_t c : {size_t{0}, size_t{7}, code.engine().num_chunks() - 1}) {
+    const Buffer patch = random_buffer(chunk, rng);
+    const size_t before = fs.read_stats().update_verified_bytes;
+    fs.update_range(id, c * chunk, patch);
+    std::copy(patch.begin(), patch.end(),
+              mirror.begin() + static_cast<ptrdiff_t>(c * chunk));
+    const size_t verified = fs.read_stats().update_verified_bytes - before;
+    EXPECT_EQ(verified, code.engine().update_stripes(c).size() * chunk)
+        << "chunk " << c;
+    EXPECT_LE(verified, size_t{8} << 20) << "chunk " << c;
+  }
+  expect_blocks_encode(fs, id, mirror);
+  EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
+}
+
+// With 40 KiB chunks, stripes straddle 64 KiB segment boundaries and a
+// block ends in a short segment: single- and multi-chunk updates verify
+// exactly the segments covering the stripes they write, each once, and
+// the stored blocks stay bit-identical to encoding the mirror.
+TEST(UpdateWindowTest, StraddlingStripesVerifyOnlyTheirCoveringSegments) {
+  core::GalloperCode code(4, 2, 2);
+  sim::Simulation simulation;
+  sim::Cluster cluster(simulation, code.num_blocks(), sim::ServerSpec{});
+  FileStore fs(cluster, code);
+  const size_t chunk = 40 << 10;
+  Rng rng(60);
+  Buffer mirror = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const FileId id = fs.write(mirror);
+  const size_t bbytes = fs.block_bytes(id);
+  for (int u = 0; u < 12; ++u) {
+    const size_t first = rng.next_below(code.engine().num_chunks());
+    const size_t count =
+        1 + rng.next_below(std::min<size_t>(3, code.engine().num_chunks() -
+                                                   first));
+    std::set<std::pair<size_t, size_t>> segs;  // (block, segment)
+    for (size_t c = first; c < first + count; ++c)
+      for (const codes::StripeRef& s : code.engine().update_stripes(c))
+        for (size_t g = s.pos * chunk / kSegmentBytes;
+             g <= ((s.pos + 1) * chunk - 1) / kSegmentBytes; ++g)
+          segs.emplace(s.block, g);
+    size_t want = 0;
+    for (const auto& [b, g] : segs) want += segment_size(bbytes, g);
+
+    const Buffer patch = random_buffer(count * chunk, rng);
+    const size_t before = fs.read_stats().update_verified_bytes;
+    fs.update_range(id, first * chunk, patch);
+    std::copy(patch.begin(), patch.end(),
+              mirror.begin() + static_cast<ptrdiff_t>(first * chunk));
+    EXPECT_EQ(fs.read_stats().update_verified_bytes - before, want)
+        << "update " << u;
+    EXPECT_LT(want, code.num_blocks() * bbytes) << "update " << u;
+  }
+  expect_blocks_encode(fs, id, mirror);
+  EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
+}
+
+// The deliberate semantics: corruption OUTSIDE an update's windows — in a
+// block the update does not write, or in a segment of a written block
+// that none of its stripes covers — is not the update's business, exactly
+// as for reads. The update succeeds; scrub() then reports both blocks, and
+// scrub_and_repair() heals the store to the mirror.
+TEST(UpdateWindowTest, CorruptionOutsideTheWindowsIsLeftToScrub) {
+  core::GalloperCode code(4, 2, 2);
+  sim::Simulation simulation;
+  sim::Cluster cluster(simulation, code.num_blocks(), sim::ServerSpec{});
+  FileStore fs(cluster, code);
+  const size_t chunk = kSegmentBytes;  // one segment per stripe
+  Rng rng(61);
+  Buffer mirror = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const FileId id = fs.write(mirror);
+
+  const size_t c = 5;
+  const size_t n = code.num_blocks(), per = code.engine().stripes_per_block();
+  std::vector<std::vector<bool>> written(n, std::vector<bool>(per, false));
+  for (const codes::StripeRef& s : code.engine().update_stripes(c))
+    written[s.block][s.pos] = true;
+  size_t untouched = n, partial = n, spare_pos = 0;
+  for (size_t b = 0; b < n; ++b) {
+    const auto hits = std::count(written[b].begin(), written[b].end(), true);
+    if (hits == 0 && untouched == n) untouched = b;
+    if (hits > 0 && static_cast<size_t>(hits) < per && partial == n) {
+      partial = b;
+      spare_pos = static_cast<size_t>(
+          std::find(written[b].begin(), written[b].end(), false) -
+          written[b].begin());
+    }
+  }
+  ASSERT_LT(untouched, n) << "a one-chunk update leaves some block alone";
+  ASSERT_LT(partial, n) << "and some written block has an unwritten stripe";
+  fs.corrupt_block(id, untouched, 3);
+  fs.corrupt_block(id, partial, spare_pos * chunk + 5);
+
+  const Buffer patch = random_buffer(chunk, rng);
+  ASSERT_NO_THROW(fs.update_range(id, c * chunk, patch));
+  std::copy(patch.begin(), patch.end(),
+            mirror.begin() + static_cast<ptrdiff_t>(c * chunk));
+  EXPECT_TRUE(fs.lost_blocks(id).empty());
+
+  std::vector<std::pair<FileId, size_t>> found;
+  for (const auto& hit : fs.scrub(/*quarantine=*/false))
+    found.emplace_back(hit.file, hit.block);
+  std::sort(found.begin(), found.end());
+  std::vector<std::pair<FileId, size_t>> want{{id, untouched}, {id, partial}};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(found, want);
+
+  const auto report = fs.scrub_and_repair();
+  EXPECT_EQ(report.repaired, 2u);
+  EXPECT_EQ(report.unrecoverable, 0u);
+  expect_blocks_encode(fs, id, mirror);
   EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
 }
 
