@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <functional>
@@ -14,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "client/cache.h"
@@ -59,7 +61,7 @@ constexpr size_t kIoPiece = size_t{4} << 20;
 // the per-read timeout budget counts as a failed attempt — the caller does
 // not wait out a hung helper.
 
-void maybe_crash(const char* point) {
+void maybe_crash(const std::string& point) {
   if (fault::FaultInjector* inj = fault::global()) inj->crash_point(point);
 }
 
@@ -193,12 +195,98 @@ void parse_list(const std::string& value, Fn&& parse_token) {
   }
 }
 
-// ---- Pipeline stages ------------------------------------------------------
+// Reads [off, off + len) of every file in `files` concurrently on the async
+// I/O pool (scatter-gather). Each op runs pread_retry's retry-with-backoff,
+// so an injected transient fault or over-budget stall on one read does not
+// fail the gather; a persistent one surfaces from wait_all as
+// fault::TransientError.
+std::vector<Buffer> read_pieces(const std::vector<io::File>& files,
+                                uint64_t off, size_t len) {
+  std::vector<Buffer> pieces(files.size());
+  std::vector<io::OpRef> ops;
+  ops.reserve(files.size());
+  for (size_t i = 0; i < files.size(); ++i) {
+    pieces[i] = Buffer(len);
+    ops.push_back(io::AsyncIo::global().submit(
+        io::OpKind::kRead, len,
+        [&file = files[i], dst = pieces[i].data(), len, off](io::Op&) {
+          pread_retry(file, dst, len, off);
+        }));
+  }
+  io::AsyncIo::wait_all(ops);
+  return pieces;
+}
 
-// Stages run as rt::StageThread (dedicated threads, poison-on-throw); the
-// queues between them take their capacity from rt::queue_depth()
-// (GALLOPER_QUEUE_DEPTH, default 2).
-using rt::StageThread;
+// The codec's view of one segment: pieces[i] is block ids[i]'s piece.
+std::map<size_t, ConstByteSpan> piece_view(const std::vector<size_t>& ids,
+                                           const std::vector<Buffer>& pieces) {
+  std::map<size_t, ConstByteSpan> view;
+  for (size_t i = 0; i < ids.size(); ++i) view.emplace(ids[i], pieces[i]);
+  return view;
+}
+
+// ---- The stage pipeline ---------------------------------------------------
+//
+// Every streaming archive operation (encode, decode, repair) is one
+// reader → codec → writer pipeline over the archive's segments:
+//  - read(i) runs on a reader thread for i = 0, 1, …, count − 1;
+//  - code(i, in) runs on the calling thread, fanning out on the rt pool;
+//  - write(i, out) runs on a writer thread, in segment order.
+// The stages are rt::StageThreads joined by two BoundedQueues of capacity
+// rt::queue_depth() (GALLOPER_QUEUE_DEPTH, default 2), which double-buffer
+// each stage: at most ~depth items of input and of output are live, so
+// memory is O(segment) for any file size. A throw in any stage poisons both
+// queues, so every peer unblocks and queued items are dropped; the first
+// error is rethrown here after both threads joined. Each step is preceded
+// by the crash point "archive.<op>.{reader,codec,writer}".
+template <typename Read, typename Code, typename Write>
+void run_stages(const std::string& op, size_t count, Read read, Code code,
+                Write write) {
+  using In = std::invoke_result_t<Read&, size_t>;
+  using Out = std::invoke_result_t<Code&, size_t, In&&>;
+  rt::BoundedQueue<std::pair<size_t, In>> in_q(rt::queue_depth());
+  rt::BoundedQueue<std::pair<size_t, Out>> out_q(rt::queue_depth());
+  const auto abort_all = [&](std::exception_ptr e) {
+    in_q.poison(e);
+    out_q.poison(e);
+  };
+  const std::string point = "archive." + op + ".";
+  rt::StageThread reader(
+      [&] {
+        for (size_t i = 0; i < count; ++i) {
+          maybe_crash(point + "reader");
+          if (!in_q.push({i, read(i)})) return;
+        }
+        in_q.close();
+      },
+      abort_all);
+  rt::StageThread writer(
+      [&] {
+        while (auto item = out_q.pop()) {
+          maybe_crash(point + "writer");
+          write(item->first, std::move(item->second));
+        }
+      },
+      abort_all);
+
+  std::exception_ptr codec_error;
+  try {
+    while (auto item = in_q.pop()) {
+      maybe_crash(point + "codec");
+      const size_t i = item->first;
+      if (!out_q.push({i, code(i, std::move(item->second))})) break;
+    }
+  } catch (...) {
+    codec_error = std::current_exception();
+    abort_all(codec_error);
+  }
+  out_q.close();
+  reader.join();
+  writer.join();
+  if (codec_error) std::rethrow_exception(codec_error);
+  reader.rethrow();
+  writer.rethrow();
+}
 
 }  // namespace
 
@@ -399,25 +487,6 @@ Manifest encode_archive(const fs::path& input, const fs::path& dir, size_t k,
   const std::vector<Segment> segments =
       archive_segments(m, chunks, nstripes);
 
-  // The pipeline: reader thread → in_q → codec (this thread, fanning out on
-  // the rt pool) → out_q → writer thread. Queue capacity 2 double-buffers
-  // each stage, so at most ~2 segments of input and ~2 segments of blocks
-  // are ever live.
-  struct SegData {
-    size_t index;
-    Buffer data;
-  };
-  struct SegBlocks {
-    size_t index;
-    std::vector<Buffer> blocks;
-  };
-  rt::BoundedQueue<SegData> in_q(rt::queue_depth());
-  rt::BoundedQueue<SegBlocks> out_q(rt::queue_depth());
-  const auto abort_all = [&](std::exception_ptr e) {
-    in_q.poison(e);
-    out_q.poison(e);
-  };
-
   // Outputs open before any stage thread starts: a failed open must throw
   // while no stage can be parked on a queue. Blocks stream into .tmp
   // staging files; the publish below renames them into place only after
@@ -431,62 +500,33 @@ Manifest encode_archive(const fs::path& input, const fs::path& dir, size_t k,
   std::vector<uint32_t> crcs(nblocks, kCrc32cInit);
 
   try {
-    StageThread reader(
-        [&] {
-          for (const Segment& seg : segments) {
-            maybe_crash("archive.encode.reader");
-            Buffer data(seg.data_len);
-            const size_t want =
-                std::min(seg.data_len, original - seg.file_offset);
-            in.pread_full(data.data(), want, seg.file_offset);
-            std::fill(data.begin() + static_cast<std::ptrdiff_t>(want),
-                      data.end(), 0);
-            if (!in_q.push({seg.index, std::move(data)})) return;
-          }
-          in_q.close();
+    run_stages(
+        "encode", segments.size(),
+        [&](size_t i) {
+          const Segment& seg = segments[i];
+          Buffer data(seg.data_len);
+          const size_t want =
+              std::min(seg.data_len, original - seg.file_offset);
+          in.pread_full(data.data(), want, seg.file_offset);
+          std::fill(data.begin() + static_cast<std::ptrdiff_t>(want),
+                    data.end(), 0);
+          return data;
         },
-        abort_all);
-    StageThread writer(
-        [&] {
-          size_t expect = 0;
-          while (auto item = out_q.pop()) {
-            maybe_crash("archive.encode.writer");
-            GALLOPER_CHECK(item->index == expect++ &&
-                           item->blocks.size() == nblocks);
-            // Scatter-gather: all nblocks per-segment pieces land on the
-            // async pool concurrently (positional writes, one op per
-            // block file); the CRC fold stays serial and in block order.
-            const uint64_t off = segments[item->index].block_offset;
-            std::vector<io::OpRef> ops;
-            ops.reserve(nblocks);
-            for (size_t b = 0; b < nblocks; ++b)
-              ops.push_back(io::AsyncIo::global().submit_write(
-                  outs[b], item->blocks[b].data(), item->blocks[b].size(),
-                  off));
-            io::AsyncIo::wait_all(ops);
-            for (size_t b = 0; b < nblocks; ++b)
-              crcs[b] = crc32c_extend(crcs[b], item->blocks[b]);
-          }
-        },
-        abort_all);
-
-    std::exception_ptr codec_error;
-    try {
-      while (auto item = in_q.pop()) {
-        maybe_crash("archive.encode.codec");
-        auto blocks = engine.encode(item->data, threads);
-        if (!out_q.push({item->index, std::move(blocks)})) break;
-      }
-    } catch (...) {
-      codec_error = std::current_exception();
-      abort_all(codec_error);
-    }
-    out_q.close();
-    reader.join();
-    writer.join();
-    if (codec_error) std::rethrow_exception(codec_error);
-    reader.rethrow();
-    writer.rethrow();
+        [&](size_t, Buffer&& data) { return engine.encode(data, threads); },
+        [&](size_t i, std::vector<Buffer>&& blocks) {
+          // Scatter-gather: all nblocks per-segment pieces land on the
+          // async pool concurrently (positional writes, one op per block
+          // file); the CRC fold stays serial and in block order.
+          std::vector<io::OpRef> ops;
+          ops.reserve(nblocks);
+          for (size_t b = 0; b < nblocks; ++b)
+            ops.push_back(io::AsyncIo::global().submit_write(
+                outs[b], blocks[b].data(), blocks[b].size(),
+                segments[i].block_offset));
+          io::AsyncIo::wait_all(ops);
+          for (size_t b = 0; b < nblocks; ++b)
+            crcs[b] = crc32c_extend(crcs[b], blocks[b]);
+        });
 
     // Publish: flush + fsync every staging file, then rename the whole set
     // into place and commit with an atomic MANIFEST write. A crash before
@@ -542,15 +582,13 @@ Manifest read_manifest(const fs::path& dir) {
 
 namespace {
 
-// The streaming decode core: a reader thread feeds each segment's piece of
-// every present block through a bounded queue; the calling thread decodes
-// (on the rt pool) and hands the decoded file bytes — clipped to
-// original_bytes — to `emit(file_offset, data)` in file order. Returns
-// false, before reading any block bytes, when the present set cannot
-// decode.
-bool decode_archive_stream(const fs::path& dir, size_t threads,
-                           const std::function<void(size_t, Buffer&&)>& emit) {
-  const Manifest m = read_manifest(dir);
+// The decode pipeline of archive `dir` (manifest `m`): reads each segment's
+// piece of every present block, decodes it, and hands the segment's file
+// bytes, clipped to original_bytes, to `write(file_offset, bytes)` on the
+// writer stage in file order. Returns false, before reading any block
+// bytes, when the present set cannot decode.
+bool run_decode(const fs::path& dir, const Manifest& m, size_t threads,
+                const std::function<void(size_t, const Buffer&)>& write) {
   const core::GalloperCode code = m.make_code();
   const codes::CodecEngine& engine = code.engine();
   const std::vector<Segment> segments = archive_segments(
@@ -571,62 +609,23 @@ bool decode_archive_stream(const fs::path& dir, size_t threads,
   // here, before a single block byte is read.
   if (!engine.plan_decode(ids)->fully_solvable()) return false;
 
-  struct SegPieces {
-    size_t index;
-    std::vector<Buffer> pieces;  // parallel to ids
-  };
-  rt::BoundedQueue<SegPieces> q(rt::queue_depth());
-  StageThread reader(
-      [&] {
-        for (const Segment& seg : segments) {
-          maybe_crash("archive.decode.reader");
-          // Scatter-gather: every present block's piece of this segment is
-          // fetched concurrently on the async pool. Each op runs its own
-          // retry-with-backoff, so an injected transient fault or an
-          // over-budget latency spike on one block read must not kill the
-          // decode outright; a persistent fault surfaces from wait_all as
-          // TransientError and poisons the pipeline.
-          std::vector<Buffer> pieces(ids.size());
-          std::vector<io::OpRef> ops;
-          ops.reserve(ids.size());
-          for (size_t i = 0; i < ids.size(); ++i) {
-            pieces[i] = Buffer(seg.block_len);
-            ops.push_back(io::AsyncIo::global().submit(
-                io::OpKind::kRead, seg.block_len,
-                [&file = ins[i], dst = pieces[i].data(), n = seg.block_len,
-                 off = seg.block_offset](io::Op&) {
-                  pread_retry(file, dst, n, off);
-                }));
-          }
-          io::AsyncIo::wait_all(ops);
-          if (!q.push({seg.index, std::move(pieces)})) return;
-        }
-        q.close();
+  run_stages(
+      "decode", segments.size(),
+      [&](size_t i) {
+        return read_pieces(ins, segments[i].block_offset,
+                           segments[i].block_len);
       },
-      [&](std::exception_ptr e) { q.poison(e); });
-
-  std::exception_ptr codec_error;
-  try {
-    while (auto item = q.pop()) {
-      maybe_crash("archive.decode.codec");
-      const Segment& seg = segments[item->index];
-      std::map<size_t, ConstByteSpan> view;
-      for (size_t i = 0; i < ids.size(); ++i)
-        view.emplace(ids[i], item->pieces[i]);
-      auto decoded = engine.decode(view, threads);
-      GALLOPER_CHECK(decoded.has_value());  // solvability gated above
-      if (seg.file_offset >= m.original_bytes) continue;  // pure padding
-      decoded->resize(
-          std::min(decoded->size(), m.original_bytes - seg.file_offset));
-      emit(seg.file_offset, std::move(*decoded));
-    }
-  } catch (...) {
-    codec_error = std::current_exception();
-    q.poison(codec_error);
-  }
-  reader.join();
-  if (codec_error) std::rethrow_exception(codec_error);
-  reader.rethrow();
+      [&](size_t i, std::vector<Buffer>&& pieces) {
+        auto decoded = engine.decode(piece_view(ids, pieces), threads);
+        GALLOPER_CHECK(decoded.has_value());  // solvability gated above
+        const size_t off = segments[i].file_offset;
+        const size_t real = off < m.original_bytes ? m.original_bytes - off : 0;
+        decoded->resize(std::min(decoded->size(), real));
+        return std::move(*decoded);
+      },
+      [&](size_t i, Buffer&& data) {
+        if (!data.empty()) write(segments[i].file_offset, data);
+      });
   return true;
 }
 
@@ -634,10 +633,9 @@ bool decode_archive_stream(const fs::path& dir, size_t threads,
 
 std::optional<Buffer> decode_archive(const fs::path& dir, size_t threads) {
   const Manifest m = read_manifest(dir);
-  Buffer file(m.original_bytes);  // emits cover [0, original_bytes) exactly
-  if (!decode_archive_stream(dir, threads, [&](size_t off, Buffer&& data) {
-        std::copy(data.begin(), data.end(),
-                  file.begin() + static_cast<std::ptrdiff_t>(off));
+  Buffer file(m.original_bytes);  // the writes cover it exactly
+  if (!run_decode(dir, m, threads, [&](size_t off, const Buffer& data) {
+        std::memcpy(file.data() + off, data.data(), data.size());
       }))
     return std::nullopt;
   return file;
@@ -646,69 +644,27 @@ std::optional<Buffer> decode_archive(const fs::path& dir, size_t threads) {
 bool decode_archive_to(const fs::path& dir, const fs::path& output,
                        size_t threads) {
   io::File out = io::File::create(output);
-
-  // Third stage: decoded segments land via positional writes on a writer
-  // thread, so disk writes overlap the next segment's decode.
-  struct OutPiece {
-    size_t offset;
-    Buffer data;
-  };
-  rt::BoundedQueue<OutPiece> q(rt::queue_depth());
-  StageThread writer(
-      [&] {
-        while (auto item = q.pop()) {
-          maybe_crash("archive.decode.writer");
-          out.pwrite_full(item->data.data(), item->data.size(), item->offset);
-        }
-      },
-      [&](std::exception_ptr e) { q.poison(e); });
-
-  bool ok = false;
-  std::exception_ptr err;
   try {
-    // Emits carry their file offset, so the positional writes land exactly
-    // where the segment belongs. A push that returns false means the
-    // writer poisoned the queue; surface ITS error (the root cause) rather
-    // than a generic push failure.
-    ok = decode_archive_stream(dir, threads, [&](size_t off, Buffer&& data) {
-      if (!q.push({off, std::move(data)})) {
-        q.rethrow_if_poisoned();
-        GALLOPER_CHECK_MSG(false,
-                           "write stage failed for " << output.string());
-      }
-    });
+    // Positional writes land each segment exactly where it belongs, on the
+    // writer stage, overlapping the next segment's decode.
+    if (run_decode(dir, read_manifest(dir), threads,
+                   [&](size_t off, const Buffer& data) {
+                     out.pwrite_full(data.data(), data.size(), off);
+                   }))
+      return true;
+  } catch (const fault::CrashError&) {
+    throw;  // a crash runs no cleanup: tests assert the debris
   } catch (...) {
-    err = std::current_exception();
-  }
-  q.close();
-  writer.join();
-  if (!err) {
-    try {
-      writer.rethrow();
-    } catch (...) {
-      err = std::current_exception();
-    }
-  }
-  if (err) {
     // A failed decode must not leave a partial output lying around looking
-    // valid — EXCEPT for an injected crash, which by definition runs no
-    // cleanup (tests assert the debris, startup recovery handles it).
+    // valid.
     out.close();
-    try {
-      std::rethrow_exception(err);
-    } catch (const fault::CrashError&) {
-      throw;
-    } catch (...) {
-      std::error_code ec;
-      fs::remove(output, ec);
-      throw;
-    }
+    std::error_code ec;
+    fs::remove(output, ec);
+    throw;
   }
-  if (!ok) {
-    out.close();
-    fs::remove(output);
-  }
-  return ok;
+  out.close();
+  fs::remove(output);
+  return false;
 }
 
 std::optional<std::vector<size_t>> repair_archive(const fs::path& dir,
@@ -754,80 +710,24 @@ std::optional<std::vector<size_t>> repair_archive(const fs::path& dir,
     try {
       io::File out = io::File::create(tmp_path);
 
-      struct SegPieces {
-        size_t index;
-        std::vector<Buffer> pieces;  // parallel to helpers
-      };
-      struct OutPiece {
-        size_t offset;  // block_offset of the segment
-        Buffer data;
-      };
-      rt::BoundedQueue<SegPieces> in_q(rt::queue_depth());
-      rt::BoundedQueue<OutPiece> out_q(rt::queue_depth());
-      const auto abort_all = [&](std::exception_ptr e) {
-        in_q.poison(e);
-        out_q.poison(e);
-      };
-      StageThread reader(
-          [&] {
-            for (const Segment& seg : segments) {
-              maybe_crash("archive.repair.reader");
-              // Scatter-gather all helper pieces of this segment on the
-              // async pool; each op keeps the per-helper retry-with-
-              // backoff (a stall above the timeout budget counts as a
-              // failed attempt rather than a hang).
-              std::vector<Buffer> pieces(helpers.size());
-              std::vector<io::OpRef> ops;
-              ops.reserve(helpers.size());
-              for (size_t i = 0; i < helpers.size(); ++i) {
-                pieces[i] = Buffer(seg.block_len);
-                ops.push_back(io::AsyncIo::global().submit(
-                    io::OpKind::kRead, seg.block_len,
-                    [&file = ins[i], dst = pieces[i].data(),
-                     n = seg.block_len, off = seg.block_offset](io::Op&) {
-                      pread_retry(file, dst, n, off);
-                    }));
-              }
-              io::AsyncIo::wait_all(ops);
-              if (!in_q.push({seg.index, std::move(pieces)})) return;
-            }
-            in_q.close();
-          },
-          abort_all);
       uint32_t crc = kCrc32cInit;
-      StageThread writer(
-          [&] {
-            while (auto item = out_q.pop()) {
-              maybe_crash("archive.repair.writer");
-              out.pwrite_full(item->data.data(), item->data.size(),
-                              item->offset);
-              crc = crc32c_extend(crc, item->data);
-            }
+      run_stages(
+          "repair", segments.size(),
+          [&](size_t i) {
+            return read_pieces(ins, segments[i].block_offset,
+                               segments[i].block_len);
           },
-          abort_all);
-
-      std::exception_ptr codec_error;
-      try {
-        while (auto item = in_q.pop()) {
-          maybe_crash("archive.repair.codec");
-          const Segment& seg = segments[item->index];
-          std::map<size_t, ConstByteSpan> view;
-          for (size_t i = 0; i < helpers.size(); ++i)
-            view.emplace(helpers[i], item->pieces[i]);
-          auto rebuilt = engine.repair_block_with_plan(*plan, view, threads);
-          GALLOPER_CHECK(rebuilt.has_value());  // solvability gated above
-          if (!out_q.push({seg.block_offset, std::move(*rebuilt)})) break;
-        }
-      } catch (...) {
-        codec_error = std::current_exception();
-        abort_all(codec_error);
-      }
-      out_q.close();
-      reader.join();
-      writer.join();
-      if (codec_error) std::rethrow_exception(codec_error);
-      reader.rethrow();
-      writer.rethrow();
+          [&](size_t, std::vector<Buffer>&& pieces) {
+            auto rebuilt = engine.repair_block_with_plan(
+                *plan, piece_view(helpers, pieces), threads);
+            GALLOPER_CHECK(rebuilt.has_value());  // solvability gated above
+            return std::move(*rebuilt);
+          },
+          [&](size_t i, Buffer&& data) {
+            out.pwrite_full(data.data(), data.size(),
+                            segments[i].block_offset);
+            crc = crc32c_extend(crc, data);
+          });
 
       if (m.block_crcs.size() > block && crc32c_finish(crc) != m.block_crcs[block]) {
         std::ostringstream os;
@@ -899,14 +799,28 @@ std::vector<size_t> update_archive(const fs::path& dir, size_t offset,
                      "update range beyond the encoded file");
   if (data.empty()) return {};
 
-  for (size_t b = 0; b < code.num_blocks(); ++b)
-    GALLOPER_CHECK_MSG(fs::exists(block_path(dir, b)),
+  std::vector<io::File> ins;
+  for (size_t b = 0; b < code.num_blocks(); ++b) {
+    const fs::path p = block_path(dir, b);
+    GALLOPER_CHECK_MSG(fs::exists(p),
                        "block " << b << " missing — repair before updating");
+    GALLOPER_CHECK_MSG(fs::file_size(p) == m.block_bytes,
+                       "block file " << p.string() << " has wrong size");
+    ins.push_back(io::File::open_read(p));
+  }
 
-  // Segment-aware: load, patch, and write back ONLY the segment pieces the
-  // range overlaps — an update against a large archive touches O(affected
-  // segments) bytes per block, never whole block files.
-  std::vector<size_t> touched;
+  // Plan before writing a byte: check every overlapped segment's range and
+  // name the blocks its chunk updates write, so a bad range or a rotten
+  // block refuses the update with the archive untouched. Segment-aware:
+  // only the pieces the range overlaps are loaded, patched and written
+  // back, so an update touches O(affected segments) bytes per block.
+  struct Patch {
+    const Segment* seg;
+    size_t first_chunk, end_chunk;  // chunk indices within the segment
+    size_t hi;                      // file offset the patch ends at
+  };
+  std::vector<Patch> patches;
+  std::vector<size_t> writes;  // every block a chunk update may write
   for (const Segment& seg : segments) {
     const size_t lo = std::max(offset, seg.file_offset);
     const size_t hi =
@@ -929,32 +843,37 @@ std::vector<size_t> update_archive(const fs::path& dir, size_t offset,
         "updates must be chunk-aligned (chunk = "
             << seg.chunk << " bytes in segment " << seg.index
             << ") or end at the file's last byte");
+    const Patch patch{&seg, (lo - seg.file_offset) / seg.chunk,
+                      (hi - seg.file_offset + seg.chunk - 1) / seg.chunk, hi};
+    for (size_t c = patch.first_chunk; c < patch.end_chunk; ++c)
+      for (const codes::StripeRef& s : engine.update_stripes(c))
+        writes.push_back(s.block);
+    patches.push_back(patch);
+  }
+  std::sort(writes.begin(), writes.end());
+  writes.erase(std::unique(writes.begin(), writes.end()), writes.end());
 
-    // Scatter-gather the affected piece of every block concurrently.
-    std::vector<Buffer> pieces(code.num_blocks());
-    {
-      std::vector<io::File> ins;
-      std::vector<io::OpRef> ops;
-      ins.reserve(code.num_blocks());
-      ops.reserve(code.num_blocks());
-      for (size_t b = 0; b < code.num_blocks(); ++b) {
-        const fs::path p = block_path(dir, b);
-        GALLOPER_CHECK_MSG(fs::file_size(p) == m.block_bytes,
-                           "block file " << p.string() << " has wrong size");
-        ins.push_back(io::File::open_read(p));
-        pieces[b] = Buffer(seg.block_len);
-        ops.push_back(io::AsyncIo::global().submit_read(
-            ins.back(), pieces[b].data(), seg.block_len, seg.block_offset));
-      }
-      io::AsyncIo::wait_all(ops);
-    }
+  // Patching a rotten block launders it: the refreshed manifest CRC below
+  // would certify a rotten parity block, and a rotten data piece would
+  // yield wrong parity deltas. Every block the update writes must match
+  // its manifest CRC first (archives from writers that recorded no CRCs
+  // are trusted, as verify_archive does).
+  for (size_t b : writes)
+    if (m.block_crcs.size() > b &&
+        file_crc32c(block_path(dir, b)) != m.block_crcs[b])
+      throw CrcMismatchError("block " + std::to_string(b) +
+                             " fails its manifest CRC — repair it before "
+                             "updating");
 
+  std::vector<size_t> touched;
+  for (const Patch& patch : patches) {
+    const Segment& seg = *patch.seg;
+    std::vector<Buffer> pieces =
+        read_pieces(ins, seg.block_offset, seg.block_len);
     std::vector<size_t> seg_touched;
-    const size_t first_chunk = (lo - seg.file_offset) / seg.chunk;
-    for (size_t c = 0; first_chunk * seg.chunk + c * seg.chunk < hi - seg.file_offset;
-         ++c) {
-      const size_t src = lo - offset + c * seg.chunk;
-      const size_t avail = std::min(seg.chunk, hi - offset - src);
+    for (size_t c = patch.first_chunk; c < patch.end_chunk; ++c) {
+      const size_t src = seg.file_offset + c * seg.chunk - offset;
+      const size_t avail = std::min(seg.chunk, patch.hi - offset - src);
       Buffer padded;
       ConstByteSpan chunk_data = data.subspan(src, avail);
       if (avail < seg.chunk) {  // EOF-clamped final partial chunk
@@ -962,8 +881,7 @@ std::vector<size_t> update_archive(const fs::path& dir, size_t offset,
         std::copy(chunk_data.begin(), chunk_data.end(), padded.begin());
         chunk_data = padded;
       }
-      const auto t =
-          engine.update_chunk(pieces, first_chunk + c, chunk_data, threads);
+      const auto t = engine.update_chunk(pieces, c, chunk_data, threads);
       seg_touched.insert(seg_touched.end(), t.begin(), t.end());
     }
     std::sort(seg_touched.begin(), seg_touched.end());
@@ -971,19 +889,16 @@ std::vector<size_t> update_archive(const fs::path& dir, size_t offset,
                       seg_touched.end());
 
     // Write back the patched pieces concurrently (positional, in place).
-    {
-      std::vector<io::File> outs;
-      std::vector<io::OpRef> ops;
-      outs.reserve(seg_touched.size());
-      ops.reserve(seg_touched.size());
-      for (size_t b : seg_touched) {
-        outs.push_back(io::File::open_rw(block_path(dir, b)));
-        ops.push_back(io::AsyncIo::global().submit_write(
-            outs.back(), pieces[b].data(), pieces[b].size(),
-            seg.block_offset));
-      }
-      io::AsyncIo::wait_all(ops);
+    std::vector<io::File> outs;
+    std::vector<io::OpRef> ops;
+    outs.reserve(seg_touched.size());
+    ops.reserve(seg_touched.size());
+    for (size_t b : seg_touched) {
+      outs.push_back(io::File::open_rw(block_path(dir, b)));
+      ops.push_back(io::AsyncIo::global().submit_write(
+          outs.back(), pieces[b].data(), pieces[b].size(), seg.block_offset));
     }
+    io::AsyncIo::wait_all(ops);
     touched.insert(touched.end(), seg_touched.begin(), seg_touched.end());
   }
   std::sort(touched.begin(), touched.end());

@@ -164,7 +164,10 @@ std::string describe_archive(const std::filesystem::path& dir);
 // overlapping the range are loaded and patched in place, so an update
 // against a huge v2 archive reads O(affected segments), not whole blocks.
 // The range must be chunk-aligned within each segment it touches (segment
-// boundaries themselves are always aligned).
+// boundaries themselves are always aligned). Nothing is written until every
+// range checks out and every block the update writes matches its manifest
+// CRC; a rotten one throws CrcMismatchError with the archive untouched, so
+// an update never re-certifies corruption under a fresh CRC.
 std::vector<size_t> update_archive(const std::filesystem::path& dir,
                                    size_t offset, ConstByteSpan data,
                                    size_t threads = 1);

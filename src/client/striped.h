@@ -2,8 +2,9 @@
 // window of batch fetches in flight on the async I/O pool, decoded in order
 // on the caller, so the next batches' segment fetches (and their injected
 // stalls) overlap each other and the current batch's decode instead of
-// serializing. StripedWriter streams slice→encode→assemble stages over
-// rt::BoundedQueue.
+// serializing. StripedWriter is FileStore::write behind the same
+// admission gate and counters: a write is one compiled encode plan that
+// already fans out on the rt pool.
 //
 // The read itself is FileStore's read core (open_read / finish_read: one
 // snapshot and one decode plan per call, verified segment fetches, an
@@ -94,7 +95,7 @@ class AdmissionControl {
 // load generator.
 struct ClientStats {
   uint64_t reads = 0;          // pipelined read_range calls
-  uint64_t writes = 0;         // pipelined write calls
+  uint64_t writes = 0;         // StripedWriter::write calls
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
   uint64_t batches = 0;        // fetch→decode batches processed
@@ -133,13 +134,6 @@ class StripedReader {
 };
 
 struct WriterOptions {
-  // Intra-chunk bytes encoded per pipeline slice. Each slice encodes a
-  // (num_chunks × slice) sub-file whose blocks are byte-columns of the
-  // full encode (the GF kernels are bytewise), so slicing never changes
-  // the stored bytes.
-  size_t slice_bytes = size_t{64} << 10;
-  // 0 → rt::queue_depth().
-  size_t queue_depth = 0;
   // null → AdmissionControl::global().
   AdmissionControl* admission = nullptr;
 };
@@ -148,8 +142,9 @@ class StripedWriter {
  public:
   explicit StripedWriter(store::FileStore& store, WriterOptions opt = {});
 
-  // Pipelined equivalent of FileStore::write — bit-identical stored blocks
-  // and checksums, identical injector write-fault schedule.
+  // FileStore::write under an admission ticket, counted in ClientStats and
+  // the client latency histogram — so its stored blocks, checksums and
+  // injector write-fault schedule are FileStore::write's.
   store::FileId write(ConstByteSpan file);
 
  private:

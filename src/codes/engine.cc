@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <functional>
 
 #include "gf/region.h"
@@ -519,7 +520,8 @@ bool CodecEngine::update_chunk(size_t chunk,
   // chunk_consumers_, compiled at engine construction; stripes[i + 1] is
   // consumer i's stripe.
   const ByteSpan stored = stripes[0];
-  Buffer delta(new_data.begin(), new_data.end());
+  Buffer delta(chunk_bytes);  // sized + memcpy: no per-byte range copy
+  std::memcpy(delta.data(), new_data.data(), chunk_bytes);
   gf::xor_region(delta, stored);
   if (std::all_of(delta.begin(), delta.end(),
                   [](uint8_t b) { return b == 0; }))

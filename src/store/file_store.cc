@@ -163,21 +163,12 @@ uint64_t FileStore::block_generation(FileId id, size_t b) const {
 }
 
 FileId FileStore::write(ConstByteSpan file) {
-  // Encode outside the lock (pure CPU); the checksum-then-write-fault
-  // sequence in write_encoded is identical to the historical inline form.
-  return write_encoded(code_.encode(file));
-}
-
-FileId FileStore::write_encoded(std::vector<Buffer> blocks) {
-  GALLOPER_CHECK_MSG(blocks.size() == code_.num_blocks(),
-                     "write_encoded wants one buffer per code block");
-  for (const auto& b : blocks)
-    GALLOPER_CHECK_MSG(!b.empty() && b.size() == blocks[0].size(),
-                       "write_encoded blocks must be equal-sized, non-empty");
-  // Writers serialize on write_mu_ — only write_encoded ever appends to
-  // files_, so the id guessed here is the id the append gets. mu_ is NOT
-  // held across the injector callbacks: a write gate (the soak harness's)
-  // calls back into the store's locked accessors.
+  // Encode outside every lock (pure CPU, fanned out on the rt pool).
+  std::vector<Buffer> blocks = code_.encode(file);
+  // Writers serialize on write_mu_ — only write() ever appends to files_,
+  // so the id guessed here is the id the append gets. mu_ is NOT held
+  // across the injector callbacks: a write gate (the soak harness's) calls
+  // back into the store's locked accessors.
   std::lock_guard<std::mutex> write_lock(write_mu_);
   FileId id;
   {
@@ -644,7 +635,10 @@ FileStore::SegmentFetch FileStore::fetch_segments(
   out.segments.reserve(segs.size());
   for (size_t g : segs) {
     const ConstByteSpan src = segment_of(*blk, g);
-    auto copy = std::make_shared<Buffer>(src.begin(), src.end());
+    // Sized allocation + memcpy: Buffer's default-init allocator turns the
+    // range constructor into a per-byte loop.
+    auto copy = std::make_shared<Buffer>(src.size());
+    std::memcpy(copy->data(), src.data(), src.size());
     checked += copy->size();
     if (crc32c(ConstByteSpan(*copy)) != checksums_[id][b][g]) {
       out.segments.clear();

@@ -145,16 +145,12 @@ class FileStore {
   uint64_t block_generation(FileId id, size_t block) const;
 
   // Encodes and stores a file. Size must be a positive multiple of the
-  // code's chunk count.
+  // code's chunk count. The encode runs unlocked; then, serialized with
+  // other writers, each block's true segment checksums are taken before
+  // the injector's one write-fault draw for it, so an injected fault is a
+  // silent corruption the verified paths catch. client::StripedWriter
+  // lands here too.
   FileId write(ConstByteSpan file);
-
-  // Stores already-encoded blocks (one per code block, equal sizes) with
-  // the exact checksum-then-write-fault sequence of write(). This is the
-  // StripedWriter's landing point: the client encodes slice-by-slice on
-  // pipeline stages, assembles full blocks, and commits them here — the
-  // injector sees the same one-draw-per-block schedule as write(), so a
-  // pipelined write is bit-identical to the direct one.
-  FileId write_encoded(std::vector<Buffer> blocks);
 
   size_t num_files() const;
   size_t block_bytes(FileId id) const;
@@ -463,7 +459,7 @@ class FileStore {
            std::shared_ptr<const codes::CodecPlan>>
       repair_plans_;
 
-  // Serializes write_encoded callers, so the file id chosen before the
+  // Serializes write() callers, so the file id chosen before the
   // (unlocked) injector write-fault callbacks is the id the append gets.
   // Injector callbacks may call back into the store (the soak harness's
   // write gate does), so they must NEVER run under mu_.

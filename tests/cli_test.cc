@@ -432,6 +432,48 @@ TEST_F(ArchiveTest, UpdateAcrossSegmentBoundary) {
   EXPECT_EQ(*decoded, expect);
 }
 
+// An update must never launder silent corruption: patching a rotten
+// parity block would re-certify it under a fresh manifest CRC, and a
+// rotten data piece would leave wrong parity behind. A block the update
+// writes that fails its manifest CRC refuses the update (CrcMismatchError,
+// the CLI's exit 3) before any byte is written.
+TEST_F(ArchiveTest, UpdateRefusesBlockFailingItsManifestCrc) {
+  const fs::path in = write_input(100000, 67);
+  const auto m =
+      cli::encode_archive(in, dir_ / "arch", 4, 2, 1, {}, 12, 1, 512);
+  ASSERT_GT(m.chunk_bytes, 0u);  // v2
+  const auto code = m.make_code();
+  const auto& writes = code.engine().update_stripes(0);
+  // The data piece the chunk lands in, and the last parity it feeds.
+  for (const size_t victim : {writes.front().block, writes.back().block}) {
+    SCOPED_TRACE(victim);
+    fs::remove_all(dir_ / "arch");
+    cli::encode_archive(in, dir_ / "arch", 4, 2, 1, {}, 12, 1, 512);
+    {
+      std::fstream f(cli::block_path(dir_ / "arch", victim),
+                     std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(m.block_bytes - 1);
+      char c = 0;
+      f.get(c);
+      f.seekp(m.block_bytes - 1);
+      f.put(static_cast<char>(c ^ 0x10));
+    }
+    std::vector<Buffer> before;
+    for (size_t b = 0; b < code.num_blocks(); ++b)
+      before.push_back(read_back(cli::block_path(dir_ / "arch", b)));
+    const Buffer manifest = read_back(dir_ / "arch" / "MANIFEST");
+
+    EXPECT_THROW(cli::update_archive(dir_ / "arch", 0, Buffer(512, 0x3C)),
+                 cli::CrcMismatchError);
+    for (size_t b = 0; b < code.num_blocks(); ++b)
+      EXPECT_EQ(read_back(cli::block_path(dir_ / "arch", b)), before[b])
+          << "block " << b;
+    EXPECT_EQ(read_back(dir_ / "arch" / "MANIFEST"), manifest);
+    EXPECT_EQ(cli::verify_archive(dir_ / "arch").corrupt,
+              std::vector<size_t>{victim});
+  }
+}
+
 TEST_F(ArchiveTest, StreamingEncodeMemoryStaysBounded) {
   // A file 96 segments long: if the pipeline really streams, the pool's
   // peak-outstanding delta during the encode is a few segments' worth of

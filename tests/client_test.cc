@@ -140,7 +140,11 @@ class StripedReaderTest : public ::testing::TestWithParam<Entry> {};
 // clean read and a read that replans draw IDENTICAL decision counts (one
 // draw_fetch per fetched slot, all spent before the loss is detected), so
 // on a replanned iteration the delta must equal the clean baseline exactly
-// — any extra draw is the replan drawing for its new fetches.
+// — any extra draw is the replan drawing for its new fetches. The chaos
+// thread flips a byte in a segment of the victim the read never fetches,
+// so the read can only lose the block to the quarantine; a read that met
+// the flipped bytes itself would self-heal, and that repair draws its own
+// schedule by design.
 TEST_P(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
   core::GalloperCode code(4, 2, 1);
   sim::Simulation sim;
@@ -151,7 +155,8 @@ TEST_P(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
   inj.set_read_latency(1.0, 0.002);  // every fetch parks 2 ms: a wide window
   fs.set_fault_injector(&inj);
   Rng rng(13);
-  const size_t chunk = 96;
+  // Two segments per block, four stripes each.
+  const size_t chunk = store::kSegmentBytes / 4;
   const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
   const store::FileId id = fs.write(file);
 
@@ -163,6 +168,12 @@ TEST_P(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
   while (code.engine().chunk_positions()[first].block != victim) ++first;
   const Buffer want(file.begin() + first * chunk,
                     file.begin() + (first + 1) * chunk);
+  // A byte in the victim's other segment: the read fetches only the
+  // segment holding its stripe.
+  const size_t stripe_at =
+      code.engine().chunk_positions()[first].pos * chunk;
+  const size_t flip_at =
+      stripe_at < store::kSegmentBytes ? fs.block_bytes(id) - 1 : 0;
   const bool direct = GetParam() == Entry::kReadRange;
   const auto read = [&] {
     return direct ? fs.read_range(id, first * chunk, chunk)
@@ -192,7 +203,7 @@ TEST_P(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
       // lands it between the open step and the parked fetch.
       std::this_thread::sleep_for(
           std::chrono::microseconds(100 * (iter % 60)));
-      fs.corrupt_block(id, victim, 0);
+      fs.corrupt_block(id, victim, flip_at);
       fs.scrub(/*quarantine=*/true);
     });
     const auto out = read();
@@ -253,47 +264,44 @@ TEST(StripedReaderTest, ReplannedReadCountsOneVerifiedRead) {
   EXPECT_TRUE(fs.lost_blocks(id).empty());
 }
 
-// The pipelined writer commits through write_encoded, which replays the
-// exact checksum-then-write-fault sequence of write(): two stores driven
-// by same-seed injectors must end up with identical raw blocks, whatever
-// the slice size (including degenerate 1-byte and non-divisor slices).
+// The writer commits through FileStore::write itself: two stores driven by
+// same-seed injectors must end up with identical raw blocks and identical
+// write-fault schedules.
 TEST(StripedWriterTest, BitIdenticalToDirectWrites) {
   core::GalloperCode code(4, 2, 2);
   Rng rng(21);
   const size_t chunk = 4096;
   const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
 
-  for (size_t slice : {size_t{1}, size_t{1000}, size_t{1024}, chunk,
-                       3 * chunk}) {
-    sim::Simulation sim_a, sim_b;
-    sim::Cluster cluster_a(sim_a, code.num_blocks() + 2, sim::ServerSpec{});
-    sim::Cluster cluster_b(sim_b, code.num_blocks() + 2, sim::ServerSpec{});
-    store::FileStore direct(cluster_a, code);
-    store::FileStore piped(cluster_b, code);
-    fault::FaultInjector inj_a(4242), inj_b(4242);
-    inj_a.set_torn_write_rate(0.2);
-    inj_b.set_torn_write_rate(0.2);
-    direct.set_fault_injector(&inj_a);
-    piped.set_fault_injector(&inj_b);
+  sim::Simulation sim_a, sim_b;
+  sim::Cluster cluster_a(sim_a, code.num_blocks() + 2, sim::ServerSpec{});
+  sim::Cluster cluster_b(sim_b, code.num_blocks() + 2, sim::ServerSpec{});
+  store::FileStore direct(cluster_a, code);
+  store::FileStore piped(cluster_b, code);
+  fault::FaultInjector inj_a(4242), inj_b(4242);
+  inj_a.set_torn_write_rate(0.2);
+  inj_b.set_torn_write_rate(0.2);
+  direct.set_fault_injector(&inj_a);
+  piped.set_fault_injector(&inj_b);
 
-    const store::FileId id_a = direct.write(file);
-    WriterOptions opt;
-    opt.slice_bytes = slice;
-    StripedWriter writer(piped, opt);
-    const store::FileId id_b = writer.write(file);
-    ASSERT_EQ(id_a, id_b);
+  const store::FileId id_a = direct.write(file);
+  StripedWriter writer(piped);
+  const store::FileId id_b = writer.write(file);
+  ASSERT_EQ(id_a, id_b);
 
-    for (size_t b = 0; b < code.num_blocks(); ++b) {
-      const auto span_a = direct.block(id_a, b);
-      const auto span_b = piped.block(id_b, b);
-      ASSERT_TRUE(span_a.has_value());
-      ASSERT_TRUE(span_b.has_value());
-      ASSERT_EQ(span_a->size(), span_b->size());
-      EXPECT_TRUE(std::equal(span_a->begin(), span_a->end(),
-                             span_b->begin()))
-          << "slice=" << slice << " block=" << b;
-    }
+  for (size_t b = 0; b < code.num_blocks(); ++b) {
+    const auto span_a = direct.block(id_a, b);
+    const auto span_b = piped.block(id_b, b);
+    ASSERT_TRUE(span_a.has_value());
+    ASSERT_TRUE(span_b.has_value());
+    ASSERT_EQ(span_a->size(), span_b->size());
+    EXPECT_TRUE(std::equal(span_a->begin(), span_a->end(), span_b->begin()))
+        << "block=" << b;
   }
+  const fault::FaultStats sa = inj_a.stats(), sb = inj_b.stats();
+  EXPECT_EQ(sa.decisions, sb.decisions);
+  EXPECT_EQ(sa.torn_writes, sb.torn_writes);
+  EXPECT_GT(sb.torn_writes, 0u) << "the schedule must fault some block";
 }
 
 // Concurrent pipelined readers over a faulty store: every delivered byte

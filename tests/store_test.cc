@@ -366,6 +366,35 @@ TEST_F(FileStoreTest, KillBetweenUpdatePhasesCannotResurrectAcrossRevive) {
   EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
 }
 
+// update_range's retry bound, pinned deterministically: the write-fault
+// gate moves the written slot between two alive spare servers on every
+// install attempt, so each install sees a moved placement and re-runs from
+// the verify. After 8 stale installs the update gives up with
+// fault::TransientError, having installed nothing.
+TEST_F(FileStoreTest, UpdateGivesUpAfterEightStaleInstalls) {
+  const size_t chunk = 128;
+  const Buffer file = make_file(chunk);
+  const FileId id = fs.write(file);
+  const size_t slot = code.engine().update_stripes(0).front().block;
+  ASSERT_EQ(cluster.size(), code.num_blocks() + 2);
+  const size_t spares[] = {code.num_blocks(), code.num_blocks() + 1};
+
+  fault::FaultInjector inj(7);
+  inj.set_bit_flip_rate(1.0);  // every written block consults the gate
+  size_t attempts = 0;
+  inj.set_write_gate([&](size_t, size_t b) {
+    if (b == slot) fs.reassign_block(b, spares[attempts++ % 2]);
+    return false;  // veto the flip itself: only the timing matters
+  });
+  fs.set_fault_injector(&inj);
+  EXPECT_THROW(fs.update_range(id, 0, Buffer(chunk, 0x5A)),
+               fault::TransientError);
+  fs.set_fault_injector(nullptr);
+  EXPECT_EQ(attempts, 8u);
+  EXPECT_EQ(*fs.read(id), file);
+  EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
+}
+
 TEST_F(FileStoreTest, UpdateRejectsUnalignedOrDegraded) {
   const size_t chunk = 128;
   const FileId id = fs.write(make_file(chunk));
