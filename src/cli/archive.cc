@@ -1062,6 +1062,8 @@ std::string format_plan_stats() {
         << static_cast<double>(ms.bytes_original) * 1e-6
         << " MB read original, "
         << static_cast<double>(ms.bytes_decoded) * 1e-6 << " MB decoded\n"
+        << "  pairs emitted " << ms.pairs_emitted << ", pairs shuffled "
+        << ms.pairs_shuffled << "\n"
         << "  phase walls: map " << static_cast<double>(ms.map_ns) * 1e-6
         << " ms, shuffle " << static_cast<double>(ms.shuffle_ns) * 1e-6
         << " ms, reduce " << static_cast<double>(ms.reduce_ns) * 1e-6

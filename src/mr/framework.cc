@@ -31,7 +31,8 @@ std::vector<KeyValue> shuffle_reduce(const Reducer& reducer,
   std::vector<KeyValue> out;
   for (const std::string* key : keys) {
     auto& values = groups[*key];
-    std::sort(values.begin(), values.end());
+    if (!std::is_sorted(values.begin(), values.end()))
+      std::sort(values.begin(), values.end());
     reducer.reduce(*key, values, out);
   }
   std::sort(out.begin(), out.end());

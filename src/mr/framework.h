@@ -45,6 +45,12 @@ class Reducer {
   virtual void reduce(const std::string& key,
                       const std::vector<std::string>& values,
                       std::vector<KeyValue>& out) const = 0;
+  // True promises that reduce() emits only its input key, and that
+  // reducing its own outputs together with further values gives the same
+  // result as reducing all the values at once (sum-style folds). A runner
+  // may then run the reducer map-side as a combiner over each task's
+  // output before the shuffle (StoreRunner does; LocalRunner never does).
+  virtual bool combinable() const { return false; }
 };
 
 // Workload profile for the simulated path: how expensive map/reduce are and
@@ -61,9 +67,10 @@ struct WorkloadProfile {
 // The shuffle+reduce shared by every runner: groups `intermediate` by key
 // through a hash map (no global sort — wordcount-style jobs with heavy key
 // repetition pay O(n) grouping plus per-key sorts instead of O(n log n)
-// over the whole map output), sorts each key's value list, reduces keys in
-// ascending order, and returns the output sorted by (key, value). The
-// per-key value sort makes this bit-identical to the historical
+// over the whole map output), sorts each key's value list unless it is
+// already sorted, reduces keys in ascending order, and returns the output
+// sorted by (key, value). Every reducer sees its values in sorted order,
+// which makes this bit-identical to the historical
 // sort-the-whole-intermediate form for any Reducer.
 std::vector<KeyValue> shuffle_reduce(const Reducer& reducer,
                                      std::vector<KeyValue> intermediate);

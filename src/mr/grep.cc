@@ -25,12 +25,6 @@ void GrepMapper::map(ConstByteSpan input, std::vector<KeyValue>& out) const {
   }
 }
 
-void GrepReducer::reduce(const std::string& key,
-                         const std::vector<std::string>& values,
-                         std::vector<KeyValue>& out) const {
-  out.push_back({key, std::to_string(values.size())});
-}
-
 size_t count_occurrences(ConstByteSpan haystack, std::string_view needle) {
   GALLOPER_CHECK(!needle.empty());
   const char* begin = reinterpret_cast<const char*>(haystack.data());

@@ -4,6 +4,7 @@
 #pragma once
 
 #include "mr/framework.h"
+#include "mr/wordcount.h"
 #include "util/rng.h"
 
 namespace galloper::mr {
@@ -18,12 +19,9 @@ class GrepMapper final : public Mapper {
   std::string needle_;
 };
 
-// Counts matches: ("match", ["1"...]) → ("match", count).
-class GrepReducer final : public Reducer {
- public:
-  void reduce(const std::string& key, const std::vector<std::string>& values,
-              std::vector<KeyValue>& out) const override;
-};
+// Counts matches: ("match", [count...]) → ("match", sum) — wordcount's
+// sum, so also the combiner.
+using GrepReducer = WordCountReducer;
 
 // Counts needle occurrences in a plain buffer (the reference oracle).
 size_t count_occurrences(ConstByteSpan haystack, std::string_view needle);

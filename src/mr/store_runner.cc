@@ -5,6 +5,7 @@
 #include <chrono>
 #include <functional>
 #include <iterator>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -16,20 +17,15 @@ namespace galloper::mr {
 
 namespace {
 
-struct MrCounters {
-  std::atomic<uint64_t> jobs{0};
-  std::atomic<uint64_t> splits_mapped{0};
-  std::atomic<uint64_t> degraded_splits{0};
-  std::atomic<uint64_t> bytes_original{0};
-  std::atomic<uint64_t> bytes_decoded{0};
-  std::atomic<uint64_t> map_ns{0};
-  std::atomic<uint64_t> shuffle_ns{0};
-  std::atomic<uint64_t> reduce_ns{0};
+// Process-wide MrStats, added to once per job.
+struct Totals {
+  std::mutex mu;
+  MrStats stats;  // guarded by mu
 };
 
-MrCounters& counters() {
-  static MrCounters c;
-  return c;
+Totals& totals() {
+  static Totals t;
+  return t;
 }
 
 uint64_t now_ns() {
@@ -42,29 +38,15 @@ uint64_t now_ns() {
 }  // namespace
 
 MrStats mr_stats() {
-  const MrCounters& c = counters();
-  MrStats s;
-  s.jobs = c.jobs.load(std::memory_order_relaxed);
-  s.splits_mapped = c.splits_mapped.load(std::memory_order_relaxed);
-  s.degraded_splits = c.degraded_splits.load(std::memory_order_relaxed);
-  s.bytes_original = c.bytes_original.load(std::memory_order_relaxed);
-  s.bytes_decoded = c.bytes_decoded.load(std::memory_order_relaxed);
-  s.map_ns = c.map_ns.load(std::memory_order_relaxed);
-  s.shuffle_ns = c.shuffle_ns.load(std::memory_order_relaxed);
-  s.reduce_ns = c.reduce_ns.load(std::memory_order_relaxed);
-  return s;
+  Totals& t = totals();
+  std::lock_guard<std::mutex> lock(t.mu);
+  return t.stats;
 }
 
 void reset_mr_stats() {
-  MrCounters& c = counters();
-  c.jobs.store(0, std::memory_order_relaxed);
-  c.splits_mapped.store(0, std::memory_order_relaxed);
-  c.degraded_splits.store(0, std::memory_order_relaxed);
-  c.bytes_original.store(0, std::memory_order_relaxed);
-  c.bytes_decoded.store(0, std::memory_order_relaxed);
-  c.map_ns.store(0, std::memory_order_relaxed);
-  c.shuffle_ns.store(0, std::memory_order_relaxed);
-  c.reduce_ns.store(0, std::memory_order_relaxed);
+  Totals& t = totals();
+  std::lock_guard<std::mutex> lock(t.mu);
+  t.stats = {};
 }
 
 StoreJobReport StoreRunner::run_report(store::FileStore& fs,
@@ -91,14 +73,17 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
   // its chunks verbatim — only the split's own segments are fetched and
   // verified; with the block lost, or gone, unreadable or corrupt under the
   // read (which then replans in the same call), the same bytes are decoded
-  // around it: a degraded split. Map output is hash-partitioned per task as
-  // it is emitted, so the shuffle below never touches a global
-  // intermediate.
+  // around it: a degraded split. A combinable reducer then folds the task's
+  // output to one pair per distinct key (the map-side combiner), and what
+  // is left is hash-partitioned per task, so the shuffle below never
+  // touches a global intermediate.
   std::vector<std::vector<std::vector<KeyValue>>> parts(
       splits.size(), std::vector<std::vector<KeyValue>>(reducers));
   std::atomic<size_t> degraded{0};
   std::atomic<uint64_t> clean_bytes{0};
   std::atomic<uint64_t> decoded_bytes{0};
+  std::atomic<uint64_t> pairs_emitted{0};
+  std::atomic<uint64_t> pairs_shuffled{0};
   const size_t one_batch = fs.code().engine().num_chunks();
   const uint64_t map_start = now_ns();
   rt::parallel_for(pool, splits.size(), threads, [&](size_t si) {
@@ -123,6 +108,10 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
     }
     std::vector<KeyValue> emitted;
     mapper_.map(ConstByteSpan(*data), emitted);
+    pairs_emitted.fetch_add(emitted.size(), std::memory_order_relaxed);
+    if (reducer_.combinable())
+      emitted = shuffle_reduce(reducer_, std::move(emitted));
+    pairs_shuffled.fetch_add(emitted.size(), std::memory_order_relaxed);
     std::vector<std::vector<KeyValue>>& mine = parts[si];
     for (KeyValue& kv : emitted)
       mine[std::hash<std::string>{}(kv.key) % reducers].push_back(
@@ -132,10 +121,12 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
   report.degraded_splits = degraded.load(std::memory_order_relaxed);
   report.bytes_original = clean_bytes.load(std::memory_order_relaxed);
   report.bytes_decoded = decoded_bytes.load(std::memory_order_relaxed);
+  report.pairs_emitted = pairs_emitted.load(std::memory_order_relaxed);
+  report.pairs_shuffled = pairs_shuffled.load(std::memory_order_relaxed);
 
   // ---- Shuffle: one task per partition gathers its slice of every map
   // task's output, in ascending split order (a fixed order keeps value
-  // arrival deterministic; shuffle_reduce sorts per key anyway).
+  // arrival deterministic; shuffle_reduce sorts each key's values anyway).
   std::vector<std::vector<KeyValue>> partitions(reducers);
   const uint64_t shuffle_start = now_ns();
   rt::parallel_for(pool, reducers, threads, [&](size_t r) {
@@ -178,16 +169,19 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
   report.output = std::move(reduced[0]);
   report.reduce_ns = now_ns() - reduce_start;
 
-  MrCounters& c = counters();
-  c.jobs.fetch_add(1, std::memory_order_relaxed);
-  c.splits_mapped.fetch_add(report.splits, std::memory_order_relaxed);
-  c.degraded_splits.fetch_add(report.degraded_splits,
-                              std::memory_order_relaxed);
-  c.bytes_original.fetch_add(report.bytes_original, std::memory_order_relaxed);
-  c.bytes_decoded.fetch_add(report.bytes_decoded, std::memory_order_relaxed);
-  c.map_ns.fetch_add(report.map_ns, std::memory_order_relaxed);
-  c.shuffle_ns.fetch_add(report.shuffle_ns, std::memory_order_relaxed);
-  c.reduce_ns.fetch_add(report.reduce_ns, std::memory_order_relaxed);
+  Totals& t = totals();
+  std::lock_guard<std::mutex> lock(t.mu);
+  MrStats& st = t.stats;
+  ++st.jobs;
+  st.splits_mapped += report.splits;
+  st.degraded_splits += report.degraded_splits;
+  st.bytes_original += report.bytes_original;
+  st.bytes_decoded += report.bytes_decoded;
+  st.pairs_emitted += report.pairs_emitted;
+  st.pairs_shuffled += report.pairs_shuffled;
+  st.map_ns += report.map_ns;
+  st.shuffle_ns += report.shuffle_ns;
+  st.reduce_ns += report.reduce_ns;
   return report;
 }
 

@@ -19,11 +19,15 @@
 //    degraded split: the same bytes decoded around the hole, so jobs
 //    complete bit-identically to LocalRunner::run_plain under fault
 //    injection;
-//  * map output is hash-partitioned into reduce_tasks partitions as it is
-//    emitted; shuffle and reduce then run one task per partition (each the
-//    shared shuffle_reduce group-by), and the sorted per-reducer outputs
-//    are merged — replacing LocalRunner's global sort of the whole
-//    intermediate with per-partition work that scales with threads.
+//  * a map task whose reducer is combinable() runs it over the task's own
+//    output first (a map-side combiner), so the shuffle moves one pair per
+//    distinct key per task instead of one per emitted record;
+//  * map output is then hash-partitioned into reduce_tasks partitions;
+//    shuffle and reduce run one task per partition (each the shared
+//    shuffle_reduce group-by, which skips sorting a key's value list that
+//    is already sorted), and the sorted per-reducer outputs are merged —
+//    replacing LocalRunner's global sort of the whole intermediate with
+//    per-partition work that scales with threads.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +49,9 @@ struct MrStats {
                                  // block (block lost, or the read replanned)
   uint64_t bytes_original = 0;   // split bytes read clean (no decode)
   uint64_t bytes_decoded = 0;    // bytes of degraded splits
+  uint64_t pairs_emitted = 0;    // pairs the mapper emitted
+  uint64_t pairs_shuffled = 0;   // pairs left after the combiner: what the
+                                 // shuffle moves
   uint64_t map_ns = 0;           // summed per-job phase walls
   uint64_t shuffle_ns = 0;
   uint64_t reduce_ns = 0;
@@ -72,6 +79,8 @@ struct StoreJobReport {
   size_t degraded_splits = 0;
   uint64_t bytes_original = 0;
   uint64_t bytes_decoded = 0;
+  uint64_t pairs_emitted = 0;
+  uint64_t pairs_shuffled = 0;
   uint64_t map_ns = 0;
   uint64_t shuffle_ns = 0;
   uint64_t reduce_ns = 0;

@@ -23,15 +23,17 @@ class WordCountMapper final : public Mapper {
   void map(ConstByteSpan input, std::vector<KeyValue>& out) const override;
 };
 
-// reduce: (word, ["1"...]) → (word, count).
+// reduce: (word, [count...]) → (word, sum); a sum, so also the combiner.
 class WordCountReducer final : public Reducer {
  public:
   void reduce(const std::string& key, const std::vector<std::string>& values,
               std::vector<KeyValue>& out) const override;
+  bool combinable() const override { return true; }
 };
 
 // Timing profile for the simulated path: map-heavy (tokenizing), small
-// shuffle (per-mapper partial counts), cheap reduce.
+// shuffle (per-mapper partial counts — what StoreRunner's map-side
+// combiner really moves), cheap reduce.
 WorkloadProfile wordcount_profile();
 
 }  // namespace galloper::mr

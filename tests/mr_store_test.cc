@@ -9,6 +9,8 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -113,6 +115,41 @@ TEST(ShuffleReduce, MatchesGlobalSortReference) {
   std::sort(expected.begin(), expected.end());
 
   EXPECT_EQ(shuffle_reduce(reducer, std::move(intermediate)), expected);
+}
+
+// Records every value list it is handed, in call order.
+class RecordingReducer final : public Reducer {
+ public:
+  void reduce(const std::string& key, const std::vector<std::string>& values,
+              std::vector<KeyValue>& out) const override {
+    seen.push_back(values);
+    out.push_back({key, std::to_string(values.size())});
+  }
+  mutable std::vector<std::vector<std::string>> seen;
+};
+
+TEST(ShuffleReduce, ReducerAlwaysReceivesSortedValues) {
+  // Skipping the sort of an already sorted list must not change what the
+  // reducer sees: whatever order the values arrive in, it gets them sorted.
+  Rng rng(19);
+  std::vector<std::string> sorted;
+  for (int i = 0; i < 200; ++i)
+    sorted.push_back(std::to_string(rng.next_int(0, 30)));
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_NE(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+      << "the input must hold duplicates";
+  std::vector<std::string> reversed(sorted.rbegin(), sorted.rend());
+  std::vector<std::string> shuffled = sorted;
+  rng.shuffle(shuffled);
+
+  for (const auto* order : {&sorted, &reversed, &shuffled}) {
+    std::vector<KeyValue> intermediate;
+    for (const std::string& v : *order) intermediate.push_back({"k", v});
+    RecordingReducer reducer;
+    shuffle_reduce(reducer, std::move(intermediate));
+    ASSERT_EQ(reducer.seen.size(), 1u);
+    EXPECT_EQ(reducer.seen[0], sorted);
+  }
 }
 
 // ---------- StoreRunner: the bit-identity matrix ----------
@@ -259,6 +296,65 @@ TEST(StoreRunner, CleanPathNeverExecutesDecodePlans) {
   EXPECT_EQ(report.splits, gal.num_blocks());
 }
 
+// Emits how many values a key received — NOT a sum of them, so running it
+// as a combiner changes the answer. The test below declares it combinable
+// once, wrongly, to prove it can see combining.
+class CountValuesReducer final : public Reducer {
+ public:
+  explicit CountValuesReducer(bool combinable) : combinable_(combinable) {}
+  void reduce(const std::string& key, const std::vector<std::string>& values,
+              std::vector<KeyValue>& out) const override {
+    out.push_back({key, std::to_string(values.size())});
+  }
+  bool combinable() const override { return combinable_; }
+
+ private:
+  bool combinable_;
+};
+
+TEST(StoreRunner, CombinerMatchesPlainOnlyForCombinableReducers) {
+  core::GalloperCode gal(4, 2, 1);
+  const size_t chunk = 4 * kWordCountRecordBytes;
+  WordCountMapper mapper;
+  WordCountReducer sum;
+  const CountValuesReducer count(/*combinable=*/false);
+  const CountValuesReducer wrongly_combinable(/*combinable=*/true);
+  Rng seeds(53);
+  for (int trial = 0; trial < 3; ++trial) {
+    Rng rng(seeds.next_u64());
+    for (bool dead : {false, true}) {
+      StoreJob job(gal, chunk, rng);
+      if (dead)
+        job.fs->fail_server(job.fs->server_of(static_cast<size_t>(
+            rng.next_int(0, static_cast<int64_t>(gal.num_blocks()) - 1))));
+      const auto plain_sum = LocalRunner(mapper, sum).run_plain(job.file);
+      const auto plain_count = LocalRunner(mapper, count).run_plain(job.file);
+      ASSERT_EQ(plain_sum, plain_count) << "every mapped value is \"1\"";
+      for (size_t cap : {size_t{0}, chunk, 3 * chunk}) {
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          StoreRunnerOptions opt;
+          opt.threads = threads;
+          opt.max_split_bytes = cap;
+          const std::string where = "trial=" + std::to_string(trial) +
+                                    " dead=" + std::to_string(dead) +
+                                    " cap=" + std::to_string(cap) +
+                                    " threads=" + std::to_string(threads);
+          EXPECT_EQ(StoreRunner(mapper, sum, opt).run(*job.fs, job.id),
+                    plain_sum)
+              << where;
+          EXPECT_EQ(StoreRunner(mapper, count, opt).run(*job.fs, job.id),
+                    plain_count)
+              << where << ": the runner combined without the opt-in";
+          EXPECT_NE(StoreRunner(mapper, wrongly_combinable, opt)
+                        .run(*job.fs, job.id),
+                    plain_count)
+              << where << ": combining must be visible in the output";
+        }
+      }
+    }
+  }
+}
+
 // ---------- faults ----------
 
 TEST(StoreRunner, CorruptBlockFallsBackBitIdenticallyAndSelfHeals) {
@@ -366,6 +462,35 @@ TEST(StoreRunner, MrStatsAccumulateAcrossJobs) {
   EXPECT_EQ(stats.bytes_original, 2 * job.file.size());
   EXPECT_EQ(stats.bytes_decoded, 0u);
   EXPECT_GT(stats.map_ns, 0u);
+
+  // The mapper emits one pair per word; the combiner leaves at most one
+  // per distinct word per split.
+  uint64_t words = 0;
+  std::set<std::string> distinct;
+  std::string word;
+  for (uint8_t b : job.file) {
+    if (b != ' ') {
+      word.push_back(static_cast<char>(b));
+    } else if (!word.empty()) {
+      ++words;
+      distinct.insert(word);
+      word.clear();
+    }
+  }
+  ASSERT_TRUE(word.empty()) << "generated text ends in a space";
+  EXPECT_EQ(stats.pairs_emitted, 2 * words);
+  EXPECT_LE(stats.pairs_shuffled, 2 * gal.num_blocks() * distinct.size());
+
+  // TeraSort's reducer is not combinable: everything emitted is shuffled.
+  const Buffer records = generate_records(job.file.size(), rng);
+  StoreJob tera(gal, 4 * kWordCountRecordBytes, rng, &records);
+  TeraSortMapper tera_mapper;
+  TeraSortReducer tera_reducer;
+  reset_mr_stats();
+  StoreRunner(tera_mapper, tera_reducer, {}).run(*tera.fs, tera.id);
+  EXPECT_GT(mr_stats().pairs_emitted, 0u);
+  EXPECT_EQ(mr_stats().pairs_shuffled, mr_stats().pairs_emitted);
+
   reset_mr_stats();
   EXPECT_EQ(mr_stats().jobs, 0u);
 }
