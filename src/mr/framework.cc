@@ -39,9 +39,15 @@ std::vector<KeyValue> shuffle_reduce(const Reducer& reducer,
   return out;
 }
 
-std::vector<KeyValue> LocalRunner::reduce_all(
-    std::vector<KeyValue> intermediate) const {
-  return shuffle_reduce(reducer_, std::move(intermediate));
+void Mapper::map(ConstByteSpan input, std::vector<KeyValue>& out) const {
+  struct Collect final : Emitter {
+    std::vector<KeyValue>& out;
+    explicit Collect(std::vector<KeyValue>& o) : out(o) {}
+    void emit(std::string_view key, std::string_view value) override {
+      out.push_back({std::string(key), std::string(value)});
+    }
+  } collect(out);
+  map(input, collect);
 }
 
 std::vector<KeyValue> LocalRunner::run(
@@ -58,13 +64,13 @@ std::vector<KeyValue> LocalRunner::run(
         blocks[split.block].subspan(split.block_offset, split.length),
         intermediate);
   }
-  return reduce_all(std::move(intermediate));
+  return shuffle_reduce(reducer_, std::move(intermediate));
 }
 
 std::vector<KeyValue> LocalRunner::run_plain(ConstByteSpan file) const {
   std::vector<KeyValue> intermediate;
   mapper_.map(file, intermediate);
-  return reduce_all(std::move(intermediate));
+  return shuffle_reduce(reducer_, std::move(intermediate));
 }
 
 }  // namespace galloper::mr

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/input_format.h"
@@ -30,12 +31,24 @@ struct KeyValue {
   }
 };
 
+// Where a mapper's pairs go. The views are valid only for the duration of
+// the emit() call (a mapper may point them into its input or a stack
+// buffer); a sink copies whatever it keeps.
+class Emitter {
+ public:
+  virtual ~Emitter() = default;
+  virtual void emit(std::string_view key, std::string_view value) = 0;
+};
+
 // User-provided map function: consumes one split's bytes, emits pairs.
+// Derived mappers override the Emitter form and re-expose the collecting
+// one with `using Mapper::map;`.
 class Mapper {
  public:
   virtual ~Mapper() = default;
-  virtual void map(ConstByteSpan input,
-                   std::vector<KeyValue>& out) const = 0;
+  virtual void map(ConstByteSpan input, Emitter& out) const = 0;
+  // Appends every emitted pair to `out`, in emission order.
+  void map(ConstByteSpan input, std::vector<KeyValue>& out) const;
 };
 
 // User-provided reduce function: consumes one key's values.
@@ -45,11 +58,11 @@ class Reducer {
   virtual void reduce(const std::string& key,
                       const std::vector<std::string>& values,
                       std::vector<KeyValue>& out) const = 0;
-  // True promises that reduce() emits only its input key, and that
-  // reducing its own outputs together with further values gives the same
-  // result as reducing all the values at once (sum-style folds). A runner
-  // may then run the reducer map-side as a combiner over each task's
-  // output before the shuffle (StoreRunner does; LocalRunner never does).
+  // True promises a sum: every value is a decimal unsigned 64-bit integer,
+  // and reduce() emits exactly one (key, decimal sum of the values). A
+  // runner may then count each key map-side and shuffle one partial sum per
+  // key per task (StoreRunner does, and throws CheckError on a value that
+  // is not such an integer; LocalRunner never combines).
   virtual bool combinable() const { return false; }
 };
 
@@ -91,8 +104,6 @@ class LocalRunner {
   std::vector<KeyValue> run_plain(ConstByteSpan file) const;
 
  private:
-  std::vector<KeyValue> reduce_all(std::vector<KeyValue> intermediate) const;
-
   const Mapper& mapper_;
   const Reducer& reducer_;
 };

@@ -11,7 +11,7 @@ GrepMapper::GrepMapper(std::string needle) : needle_(std::move(needle)) {
   GALLOPER_CHECK_MSG(!needle_.empty(), "empty grep needle");
 }
 
-void GrepMapper::map(ConstByteSpan input, std::vector<KeyValue>& out) const {
+void GrepMapper::map(ConstByteSpan input, Emitter& out) const {
   // Emits one ("match", "1") per occurrence. (Counts, not offsets: split
   // execution sees split-relative positions, so only counts are
   // layout-independent.)
@@ -20,7 +20,7 @@ void GrepMapper::map(ConstByteSpan input, std::vector<KeyValue>& out) const {
   for (const char* it = begin;;) {
     it = std::search(it, end, needle_.begin(), needle_.end());
     if (it == end) break;
-    out.push_back({"match", "1"});
+    out.emit("match", "1");
     ++it;  // overlapping matches count
   }
 }

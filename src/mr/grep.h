@@ -13,14 +13,15 @@ namespace galloper::mr {
 class GrepMapper final : public Mapper {
  public:
   explicit GrepMapper(std::string needle);
-  void map(ConstByteSpan input, std::vector<KeyValue>& out) const override;
+  using Mapper::map;
+  void map(ConstByteSpan input, Emitter& out) const override;
 
  private:
   std::string needle_;
 };
 
 // Counts matches: ("match", [count...]) → ("match", sum) — wordcount's
-// sum, so also the combiner.
+// sum, so combinable().
 using GrepReducer = WordCountReducer;
 
 // Counts needle occurrences in a plain buffer (the reference oracle).

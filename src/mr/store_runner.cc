@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <functional>
 #include <iterator>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/input_format.h"
@@ -35,7 +37,37 @@ uint64_t now_ns() {
           .count());
 }
 
+// A map task's hash partitioner: appends each pair it is given to
+// parts[hash(key) % parts.size()]. A non-combinable mapper emits straight
+// into it.
+struct PartitionSink final : Emitter {
+  explicit PartitionSink(std::vector<std::vector<KeyValue>>& p) : parts(p) {}
+  void emit(std::string_view key, std::string_view value) override {
+    ++emitted;
+    parts[std::hash<std::string_view>{}(key) % parts.size()].push_back(
+        {std::string(key), std::string(value)});
+  }
+  std::vector<std::vector<KeyValue>>& parts;
+  uint64_t emitted = 0;
+};
+
 }  // namespace
+
+void CountingSink::emit(std::string_view key, std::string_view value) {
+  ++emitted_;
+  uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [at, ec] = std::from_chars(value.data(), end, v);
+  GALLOPER_CHECK_MSG(ec == std::errc() && at == end,
+                     "non-decimal combinable value \"" << value << '"');
+  auto it = sums_.find(key);
+  if (it == sums_.end()) it = sums_.emplace(std::string(key), 0).first;
+  it->second += v;
+}
+
+void CountingSink::flush(Emitter& out) const {
+  for (const auto& [key, sum] : sums_) out.emit(key, std::to_string(sum));
+}
 
 MrStats mr_stats() {
   Totals& t = totals();
@@ -73,10 +105,10 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
   // its chunks verbatim — only the split's own segments are fetched and
   // verified; with the block lost, or gone, unreadable or corrupt under the
   // read (which then replans in the same call), the same bytes are decoded
-  // around it: a degraded split. A combinable reducer then folds the task's
-  // output to one pair per distinct key (the map-side combiner), and what
-  // is left is hash-partitioned per task, so the shuffle below never
-  // touches a global intermediate.
+  // around it: a degraded split. The mapper emits into a sink that
+  // hash-partitions per task, so the shuffle below never touches a global
+  // intermediate; for a combinable reducer the sink sums each key in place
+  // and partitions one pair per distinct key (in-mapper combining).
   std::vector<std::vector<std::vector<KeyValue>>> parts(
       splits.size(), std::vector<std::vector<KeyValue>>(reducers));
   std::atomic<size_t> degraded{0};
@@ -106,16 +138,17 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
     } else {
       clean_bytes.fetch_add(s.length, std::memory_order_relaxed);
     }
-    std::vector<KeyValue> emitted;
-    mapper_.map(ConstByteSpan(*data), emitted);
-    pairs_emitted.fetch_add(emitted.size(), std::memory_order_relaxed);
-    if (reducer_.combinable())
-      emitted = shuffle_reduce(reducer_, std::move(emitted));
-    pairs_shuffled.fetch_add(emitted.size(), std::memory_order_relaxed);
-    std::vector<std::vector<KeyValue>>& mine = parts[si];
-    for (KeyValue& kv : emitted)
-      mine[std::hash<std::string>{}(kv.key) % reducers].push_back(
-          std::move(kv));
+    PartitionSink partition(parts[si]);
+    if (reducer_.combinable()) {
+      CountingSink counts;
+      mapper_.map(ConstByteSpan(*data), counts);
+      counts.flush(partition);
+      pairs_emitted.fetch_add(counts.emitted(), std::memory_order_relaxed);
+    } else {
+      mapper_.map(ConstByteSpan(*data), partition);
+      pairs_emitted.fetch_add(partition.emitted, std::memory_order_relaxed);
+    }
+    pairs_shuffled.fetch_add(partition.emitted, std::memory_order_relaxed);
   });
   report.map_ns = now_ns() - map_start;
   report.degraded_splits = degraded.load(std::memory_order_relaxed);

@@ -19,18 +19,19 @@
 //    degraded split: the same bytes decoded around the hole, so jobs
 //    complete bit-identically to LocalRunner::run_plain under fault
 //    injection;
-//  * a map task whose reducer is combinable() runs it over the task's own
-//    output first (a map-side combiner), so the shuffle moves one pair per
-//    distinct key per task instead of one per emitted record;
-//  * map output is then hash-partitioned into reduce_tasks partitions;
-//    shuffle and reduce run one task per partition (each the shared
-//    shuffle_reduce group-by, which skips sorting a key's value list that
-//    is already sorted), and the sorted per-reducer outputs are merged —
-//    replacing LocalRunner's global sort of the whole intermediate with
-//    per-partition work that scales with threads.
+//  * the mapper emits views into a per-task sink: a combinable() (sum)
+//    reducer's task counts each key in place (in-mapper combining) and
+//    partitions one pair per distinct key, any other task each pair, into
+//    reduce_tasks hash partitions; shuffle and reduce run one task per
+//    partition (each the shared shuffle_reduce group-by, which skips
+//    sorting a key's value list that is already sorted), and the sorted
+//    per-reducer outputs are merged — replacing LocalRunner's global sort
+//    of the whole intermediate with per-partition work that scales with
+//    threads.
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "client/striped.h"
@@ -49,15 +50,37 @@ struct MrStats {
                                  // block (block lost, or the read replanned)
   uint64_t bytes_original = 0;   // split bytes read clean (no decode)
   uint64_t bytes_decoded = 0;    // bytes of degraded splits
-  uint64_t pairs_emitted = 0;    // pairs the mapper emitted
-  uint64_t pairs_shuffled = 0;   // pairs left after the combiner: what the
-                                 // shuffle moves
+  uint64_t pairs_emitted = 0;    // the mapper's emit() calls
+  uint64_t pairs_shuffled = 0;   // pairs partitioned after in-mapper
+                                 // combining: what the shuffle moves
   uint64_t map_ns = 0;           // summed per-job phase walls
   uint64_t shuffle_ns = 0;
   uint64_t reduce_ns = 0;
 };
 MrStats mr_stats();
 void reset_mr_stats();
+
+// In-mapper combining for a combinable() (sum) reducer: a map task's sink
+// that sums each key's values in place, building a key string only on the
+// key's first emit. A value that is not a decimal unsigned 64-bit integer
+// throws CheckError.
+class CountingSink final : public Emitter {
+ public:
+  void emit(std::string_view key, std::string_view value) override;
+  // Emits one (key, decimal sum) per distinct key, in no particular order.
+  void flush(Emitter& out) const;
+  uint64_t emitted() const { return emitted_; }  // emit() calls
+
+ private:
+  struct ViewHash {
+    using is_transparent = void;  // lookups by string_view build no string
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, uint64_t, ViewHash, std::equal_to<>> sums_;
+  uint64_t emitted_ = 0;
+};
 
 struct StoreRunnerOptions {
   // Map/shuffle/reduce parallelism (the job's "slots"). 0 →

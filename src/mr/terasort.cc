@@ -4,21 +4,6 @@
 
 namespace galloper::mr {
 
-namespace {
-
-std::string to_hex(ConstByteSpan bytes) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (uint8_t b : bytes) {
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xf]);
-  }
-  return out;
-}
-
-}  // namespace
-
 Buffer generate_records(size_t bytes, Rng& rng) {
   GALLOPER_CHECK_MSG(bytes % kTeraRecordBytes == 0,
                      "input must be whole 100-byte records");
@@ -32,17 +17,20 @@ Buffer generate_records(size_t bytes, Rng& rng) {
   return out;
 }
 
-void TeraSortMapper::map(ConstByteSpan input,
-                         std::vector<KeyValue>& out) const {
+void TeraSortMapper::map(ConstByteSpan input, Emitter& out) const {
   GALLOPER_CHECK_MSG(input.size() % kTeraRecordBytes == 0,
                      "map input must align to whole records; got "
                          << input.size() << " bytes");
+  static constexpr char kHex[] = "0123456789abcdef";
+  char hex[2 * kTeraKeyBytes];
   for (size_t i = 0; i < input.size(); i += kTeraRecordBytes) {
-    const auto record = input.subspan(i, kTeraRecordBytes);
-    out.push_back(
-        {to_hex(record.first(kTeraKeyBytes)),
-         std::string(reinterpret_cast<const char*>(record.data()),
-                     kTeraRecordBytes)});
+    const uint8_t* record = input.data() + i;
+    for (size_t j = 0; j < kTeraKeyBytes; ++j) {
+      hex[2 * j] = kHex[record[j] >> 4];
+      hex[2 * j + 1] = kHex[record[j] & 0xf];
+    }
+    out.emit({hex, sizeof hex},
+             {reinterpret_cast<const char*>(record), kTeraRecordBytes});
   }
 }
 

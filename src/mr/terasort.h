@@ -19,7 +19,8 @@ Buffer generate_records(size_t bytes, Rng& rng);
 
 class TeraSortMapper final : public Mapper {
  public:
-  void map(ConstByteSpan input, std::vector<KeyValue>& out) const override;
+  using Mapper::map;
+  void map(ConstByteSpan input, Emitter& out) const override;
 };
 
 // Identity reduce: one output pair per record, already key-sorted by the

@@ -50,21 +50,16 @@ Buffer generate_text(size_t bytes, Rng& rng) {
   return out;
 }
 
-void WordCountMapper::map(ConstByteSpan input,
-                          std::vector<KeyValue>& out) const {
-  std::string word;
-  for (uint8_t b : input) {
-    const char c = static_cast<char>(b);
-    if (c == ' ' || c == '\n' || c == '\t') {
-      if (!word.empty()) {
-        out.push_back({word, "1"});
-        word.clear();
-      }
-    } else {
-      word.push_back(c);
-    }
+void WordCountMapper::map(ConstByteSpan input, Emitter& out) const {
+  const char* text = reinterpret_cast<const char*>(input.data());
+  size_t start = 0;
+  for (size_t i = 0; i <= input.size(); ++i) {
+    if (i < input.size() && text[i] != ' ' && text[i] != '\n' &&
+        text[i] != '\t')
+      continue;
+    if (i > start) out.emit({text + start, i - start}, "1");
+    start = i + 1;
   }
-  if (!word.empty()) out.push_back({word, "1"});
 }
 
 void WordCountReducer::reduce(const std::string& key,
@@ -79,7 +74,7 @@ WorkloadProfile wordcount_profile() {
   WorkloadProfile p;
   p.name = "wordcount";
   p.map_bytes_per_cpu_unit = 25e6;    // tokenizing is CPU-bound
-  p.shuffle_ratio = 0.05;             // combiner-style partial counts
+  p.shuffle_ratio = 0.05;             // per-task partial counts
   p.reduce_bytes_per_cpu_unit = 50e6;
   return p;
 }

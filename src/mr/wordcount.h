@@ -17,13 +17,15 @@ inline constexpr size_t kWordCountRecordBytes = 50;
 // Generates `bytes` of text (must be a multiple of kWordCountRecordBytes).
 Buffer generate_text(size_t bytes, Rng& rng);
 
-// map: (text) → (word, "1") per word occurrence.
+// map: (text) → (word, "1") per word occurrence; words are views into the
+// input, split on spaces, tabs and newlines.
 class WordCountMapper final : public Mapper {
  public:
-  void map(ConstByteSpan input, std::vector<KeyValue>& out) const override;
+  using Mapper::map;
+  void map(ConstByteSpan input, Emitter& out) const override;
 };
 
-// reduce: (word, [count...]) → (word, sum); a sum, so also the combiner.
+// reduce: (word, [count...]) → (word, sum); a sum, so combinable().
 class WordCountReducer final : public Reducer {
  public:
   void reduce(const std::string& key, const std::vector<std::string>& values,
@@ -32,8 +34,8 @@ class WordCountReducer final : public Reducer {
 };
 
 // Timing profile for the simulated path: map-heavy (tokenizing), small
-// shuffle (per-mapper partial counts — what StoreRunner's map-side
-// combiner really moves), cheap reduce.
+// shuffle (per-mapper partial counts — what StoreRunner's in-mapper
+// counting really moves), cheap reduce.
 WorkloadProfile wordcount_profile();
 
 }  // namespace galloper::mr

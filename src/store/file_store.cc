@@ -163,7 +163,7 @@ uint64_t FileStore::block_generation(FileId id, size_t b) const {
 }
 
 FileId FileStore::write(ConstByteSpan file) {
-  // Encode outside every lock (pure CPU, fanned out on the rt pool).
+  // Encode outside every lock (pure CPU, single-threaded).
   std::vector<Buffer> blocks = code_.encode(file);
   // Writers serialize on write_mu_ — only write() ever appends to files_,
   // so the id guessed here is the id the append gets. mu_ is NOT held

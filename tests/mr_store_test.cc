@@ -355,6 +355,23 @@ TEST(StoreRunner, CombinerMatchesPlainOnlyForCombinableReducers) {
   }
 }
 
+// Emits a value that is not a decimal count.
+class NonDecimalMapper final : public Mapper {
+ public:
+  void map(ConstByteSpan, Emitter& out) const override { out.emit("k", "x"); }
+};
+
+TEST(StoreRunner, CombinableReducerRejectsNonDecimalValues) {
+  core::GalloperCode gal(4, 2, 1);
+  Rng rng(59);
+  StoreJob job(gal, 4 * kWordCountRecordBytes, rng);
+  const NonDecimalMapper mapper;
+  const WordCountReducer reducer;
+  EXPECT_THROW(StoreRunner(mapper, reducer, {}).run(*job.fs, job.id),
+               CheckError)
+      << "a combinable reducer promises decimal counts";
+}
+
 // ---------- faults ----------
 
 TEST(StoreRunner, CorruptBlockFallsBackBitIdenticallyAndSelfHeals) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "codes/pyramid.h"
 #include "core/galloper.h"
@@ -8,6 +12,7 @@
 #include "mr/framework.h"
 #include "mr/simjob.h"
 #include "mr/grep.h"
+#include "mr/store_runner.h"
 #include "mr/terasort.h"
 #include "mr/wordcount.h"
 #include "util/check.h"
@@ -138,6 +143,131 @@ TEST(Grep, CountIdenticalOnCodedLayout) {
   ASSERT_EQ(plain.size(), 1u);
   EXPECT_EQ(std::stoull(plain[0].value),
             count_occurrences(corpus, needle));
+}
+
+// ---------- emit sinks ----------
+
+// Records every emitted pair, copying the views before they expire.
+class RecordingSink final : public Emitter {
+ public:
+  void emit(std::string_view key, std::string_view value) override {
+    pairs.push_back({std::string(key), std::string(value)});
+  }
+  std::vector<KeyValue> pairs;
+};
+
+ConstByteSpan bytes_of(const std::string& s) {
+  return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
+}
+
+// Hand-picked edge cases (empty input; only separators; leading, trailing
+// and repeated separators; no trailing separator), then seeded random
+// strings over {a, b, c, ' ', '\t', '\n'}.
+std::vector<std::string> sink_inputs() {
+  std::vector<std::string> inputs = {"",    " ",     "\t\n \n", "abc",
+                                     " ab", "ab\t", "a  \t\nb",  "\nab\tc",
+                                     "ab c\n"};
+  static constexpr char kAlphabet[] = {'a', 'b', 'c', ' ', '\t', '\n'};
+  Rng rng(61);
+  for (int i = 0; i < 300; ++i) {
+    std::string s(static_cast<size_t>(rng.next_int(0, 80)), ' ');
+    for (char& c : s) c = kAlphabet[rng.next_int(0, 5)];
+    inputs.push_back(std::move(s));
+  }
+  return inputs;
+}
+
+// Independent tokenizer: the runs between spaces, tabs and newlines.
+std::vector<KeyValue> reference_words(const std::string& text) {
+  std::vector<KeyValue> out;
+  for (size_t i = 0; (i = text.find_first_not_of(" \t\n", i)) !=
+                     std::string::npos;) {
+    const size_t end = std::min(text.find_first_of(" \t\n", i), text.size());
+    out.push_back({text.substr(i, end - i), "1"});
+    i = end;
+  }
+  return out;
+}
+
+TEST(EmitSink, WrapperAndRecordingSinkSeeTheSamePairs) {
+  const WordCountMapper words;
+  const GrepMapper grep("ab");
+  const TeraSortMapper tera;
+  for (const std::string& text : sink_inputs()) {
+    std::vector<KeyValue> wrapped;
+    RecordingSink sink;
+    words.map(bytes_of(text), wrapped);
+    words.map(bytes_of(text), sink);
+    EXPECT_EQ(wrapped, sink.pairs) << "wordcount on \"" << text << '"';
+    EXPECT_EQ(wrapped, reference_words(text)) << '"' << text << '"';
+
+    wrapped.clear();
+    sink.pairs.clear();
+    grep.map(bytes_of(text), wrapped);
+    grep.map(bytes_of(text), sink);
+    EXPECT_EQ(wrapped, sink.pairs) << "grep on \"" << text << '"';
+    EXPECT_EQ(wrapped.size(), count_occurrences(bytes_of(text), "ab"));
+    for (const KeyValue& kv : wrapped) EXPECT_EQ(kv, (KeyValue{"match", "1"}));
+
+    // Terasort needs whole records: pad the text to a multiple of 100.
+    std::string records = text;
+    records.resize((records.size() + kTeraRecordBytes - 1) /
+                       kTeraRecordBytes * kTeraRecordBytes,
+                   'x');
+    wrapped.clear();
+    sink.pairs.clear();
+    tera.map(bytes_of(records), wrapped);
+    tera.map(bytes_of(records), sink);
+    EXPECT_EQ(wrapped, sink.pairs) << "terasort on \"" << records << '"';
+    ASSERT_EQ(wrapped.size(), records.size() / kTeraRecordBytes);
+    for (size_t r = 0; r < wrapped.size(); ++r) {
+      const std::string record =
+          records.substr(r * kTeraRecordBytes, kTeraRecordBytes);
+      std::string hex;
+      for (size_t j = 0; j < kTeraKeyBytes; ++j) {
+        char byte[3];
+        std::snprintf(byte, sizeof byte, "%02x",
+                      static_cast<unsigned>(static_cast<uint8_t>(record[j])));
+        hex += byte;
+      }
+      EXPECT_EQ(wrapped[r], (KeyValue{hex, record}));
+    }
+  }
+}
+
+TEST(EmitSink, CountingSinkEqualsShuffleReduceOfTheWrapper) {
+  const WordCountMapper mapper;
+  const WordCountReducer reducer;
+  for (const std::string& text : sink_inputs()) {
+    std::vector<KeyValue> wrapped;
+    mapper.map(bytes_of(text), wrapped);
+    CountingSink sink;
+    mapper.map(bytes_of(text), sink);
+    EXPECT_EQ(sink.emitted(), wrapped.size());
+    RecordingSink counted;
+    sink.flush(counted);
+    std::sort(counted.pairs.begin(), counted.pairs.end());
+    EXPECT_EQ(counted.pairs, shuffle_reduce(reducer, std::move(wrapped)))
+        << '"' << text << '"';
+  }
+}
+
+TEST(EmitSink, CountingSinkSumsDecimalsAndRejectsAnythingElse) {
+  CountingSink sink;
+  sink.emit("k", "2");
+  sink.emit("k", "040");
+  sink.emit("max", "18446744073709551615");
+  RecordingSink counted;
+  sink.flush(counted);
+  std::sort(counted.pairs.begin(), counted.pairs.end());
+  EXPECT_EQ(counted.pairs,
+            (std::vector<KeyValue>{{"k", "42"},
+                                   {"max", "18446744073709551615"}}));
+  for (std::string_view bad :
+       {"", "x", "-1", "+1", " 1", "1 ", "0x1", "1.5",
+        "18446744073709551616"})
+    EXPECT_THROW(sink.emit("k", bad), CheckError) << '"' << bad << '"';
+  EXPECT_EQ(sink.emitted(), 3u + 9u);
 }
 
 // ---------- the core correctness claim: jobs over Galloper data ----------

@@ -295,8 +295,8 @@ class SplitReadDifferential : public ::testing::TestWithParam<bool> {};
 // of the bytes its map tasks read.
 class EchoMapper : public mr::Mapper {
  public:
-  void map(ConstByteSpan input, std::vector<mr::KeyValue>& out) const override {
-    out.push_back({std::string(input.begin(), input.end()), ""});
+  void map(ConstByteSpan input, mr::Emitter& out) const override {
+    out.emit({reinterpret_cast<const char*>(input.data()), input.size()}, "");
   }
 };
 
