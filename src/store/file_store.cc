@@ -576,16 +576,21 @@ FileStore::ReadStats FileStore::read_stats() const {
       counters_.replanned_reads.load(std::memory_order_relaxed);
   s.update_verified_bytes =
       counters_.update_verified_bytes.load(std::memory_order_relaxed);
+  s.repair_verified_bytes =
+      counters_.repair_verified_bytes.load(std::memory_order_relaxed);
   return s;
 }
 
-std::optional<size_t> FileStore::first_bad_segment_locked(FileId id,
-                                                         size_t b) const {
+std::optional<size_t> FileStore::first_bad_segment_locked(
+    FileId id, size_t b, std::atomic<size_t>* counter) const {
   const Buffer& blk = *files_[id][b];
   const std::vector<uint32_t>& crcs = checksums_[id][b];
-  for (size_t g = 0; g < crcs.size(); ++g)
-    if (crc32c(segment_of(blk, g)) != crcs[g]) return g;
-  return std::nullopt;
+  size_t g = 0;
+  while (g < crcs.size() && crc32c(segment_of(blk, g)) == crcs[g]) ++g;
+  if (counter)
+    counter->fetch_add(std::min(blk.size(), (g + 1) * kSegmentBytes),
+                       std::memory_order_relaxed);
+  return g < crcs.size() ? std::optional<size_t>(g) : std::nullopt;
 }
 
 std::optional<double> FileStore::draw_fetch() {
@@ -999,7 +1004,8 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
           helpers_ok &= block_available_locked(id, h);
         if (!helpers_ok) helpers = available_blocks_locked(id);
         for (size_t h : helpers)
-          if (const auto g = first_bad_segment_locked(id, h))
+          if (const auto g = first_bad_segment_locked(
+                  id, h, &counters_.repair_verified_bytes))
             bad.emplace_back(h, *g);
       }
     }
@@ -1076,7 +1082,9 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
               if (std::find(helpers.begin(), helpers.end(), s) !=
                   helpers.end())
                 continue;
-              if (first_bad_segment_locked(id, s)) continue;
+              if (first_bad_segment_locked(id, s,
+                                           &counters_.repair_verified_bytes))
+                continue;
               spares.push_back(s);
             }
           }

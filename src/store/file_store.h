@@ -210,6 +210,7 @@ class FileStore {
     size_t auto_repairs = 0;    // corrupt blocks rebuilt by a read
     size_t replanned_reads = 0;  // ranged reads that dropped a block mid-read
     size_t update_verified_bytes = 0;  // bytes CRC-checked by update_range
+    size_t repair_verified_bytes = 0;  // helper/spare bytes repair checked
   };
   // Snapshot by value — safe to call while reads are in flight.
   ReadStats read_stats() const;
@@ -392,8 +393,10 @@ class FileStore {
   // describes).
   void bump_generation_locked(FileId id, size_t b);
   // Index of the first segment of resident block (id, b) whose bytes no
-  // longer match their checksum; nullopt if every segment is clean.
-  std::optional<size_t> first_bad_segment_locked(FileId id, size_t b) const;
+  // longer match their checksum; nullopt if every segment is clean. Adds
+  // the bytes it checked to *counter when given.
+  std::optional<size_t> first_bad_segment_locked(
+      FileId id, size_t b, std::atomic<size_t>* counter = nullptr) const;
   // Re-checks segment `seg` of (id, b) under the exclusive lock and, if it
   // still mismatches, quarantines the block and counts a CRC failure (a
   // concurrent reader may have healed it since the fetch — a good block is
@@ -444,6 +447,7 @@ class FileStore {
     std::atomic<size_t> auto_repairs{0};
     std::atomic<size_t> replanned_reads{0};
     std::atomic<size_t> update_verified_bytes{0};
+    std::atomic<size_t> repair_verified_bytes{0};
   };
   // counters_ and mu_ are written by every concurrent read, so each starts
   // its own cache line (64 bytes on every target we build for), and

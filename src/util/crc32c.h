@@ -4,8 +4,10 @@
 //
 // Two backends selected once at startup: the SSE4.2 CRC32 instruction
 // (8 bytes/insn) when the CPU has it, else the table-driven software loop.
-// Both produce identical values for every input; GALLOPER_CRC32C=scalar
-// forces the software path.
+// The SSE4.2 path runs three independent crc32q chains over adjacent 8 KiB
+// (then 256 B) lanes and folds them with precomputed zero-append tables,
+// about 2.5x the speed of one chain. Both backends produce identical
+// values for every input; GALLOPER_CRC32C=scalar forces the software path.
 #pragma once
 
 #include <cstdint>

@@ -14,6 +14,7 @@
 #include "io/async.h"
 #include "store/file_store.h"
 #include "store/recovery.h"
+#include "store/segments.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -973,6 +974,85 @@ TEST(UpdateWindowTest, CorruptionOutsideTheWindowsIsLeftToScrub) {
   EXPECT_EQ(report.unrecoverable, 0u);
   expect_blocks_encode(fs, id, mirror);
   EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
+}
+
+// ReadStats::repair_verified_bytes is what repair CRC-checks: with no
+// injector (so no hedge drafts spares), rebuilding block b checks exactly
+// its repair_helpers(b), whole — the paper's locality, on stored bytes.
+TEST(RepairVerifiedBytes, EqualsTheHelperBlocksOfEverySlot) {
+  core::GalloperCode code(4, 2, 2);
+  sim::Simulation simulation;
+  sim::Cluster cluster(simulation, code.num_blocks(), sim::ServerSpec{});
+  FileStore fs(cluster, code);
+  io::AsyncIo repair_io(1);
+  io::HedgePolicy unhedged;
+  unhedged.enabled = false;
+  repair_io.set_hedge_policy(unhedged);
+  Rng rng(71);
+  const FileId id =
+      fs.write(random_buffer(code.engine().num_chunks() * 40000, rng));
+  const size_t block_bytes = fs.block_bytes(id);
+  ASSERT_GT(segment_count(block_bytes), 1u);
+  for (size_t b = 0; b < code.num_blocks(); ++b) {
+    fs.fail_server(fs.server_of(b));
+    fs.revive_server(fs.server_of(b));
+    const size_t before = fs.read_stats().repair_verified_bytes;
+    const auto helpers = fs.repair(id, b, &repair_io);
+    ASSERT_TRUE(helpers.has_value()) << "block " << b;
+    EXPECT_EQ(*helpers, code.repair_helpers(b)) << "block " << b;
+    EXPECT_EQ(fs.read_stats().repair_verified_bytes - before,
+              code.repair_helpers(b).size() * block_bytes)
+        << "block " << b;
+  }
+  EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
+}
+
+// One flipped bit at each lane edge of the CRC-32C kernel (256 B and 8 KiB
+// lanes, three per round, and the tail after the last round) inside one
+// full 64 KiB data segment, each in a fresh store: a read over the segment
+// decodes around it, an update covering it refuses, and scrub reports it.
+TEST(LaneBoundaryCorruption, EveryLaneAndTheTailIsCaught) {
+  core::GalloperCode code(4, 2, 2);
+  const size_t chunk = kSegmentBytes;  // a data stripe is one segment
+  Rng rng(72);
+  const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
+  for (size_t x : {0u, 255u, 256u, 8191u, 8192u, 16384u, 24575u, 24576u,
+                   49151u, 49152u, 65535u}) {
+    SCOPED_TRACE("segment offset " + std::to_string(x));
+    sim::Simulation simulation;
+    sim::Cluster cluster(simulation, code.num_blocks(), sim::ServerSpec{});
+    FileStore fs(cluster, code);
+    fs.set_block_cache(nullptr);
+    const FileId id = fs.write(file);
+    // The first original-data run: a whole segment of one data block.
+    const core::InputFormat fmt(code, fs.block_bytes(id));
+    const core::InputFormat::Split run = fmt.splits().front();
+    ASSERT_GE(run.length, kSegmentBytes);
+    ASSERT_EQ(run.block_offset % kSegmentBytes, 0u);
+    const size_t b = run.block;
+
+    fs.corrupt_block(id, b, run.block_offset + x);
+    const FileStore::ReadStats before = fs.read_stats();
+    const auto got = fs.read_range(id, run.file_offset, kSegmentBytes);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(std::equal(got->begin(), got->end(),
+                           file.begin() + run.file_offset));
+    const FileStore::ReadStats after = fs.read_stats();
+    EXPECT_EQ(after.crc_failures, before.crc_failures + 1);
+    EXPECT_EQ(after.degraded_reads, before.degraded_reads + 1);
+    ASSERT_TRUE(fs.block_available(id, b)) << "the read self-heals";
+
+    fs.corrupt_block(id, b, run.block_offset + x);
+    EXPECT_THROW(fs.update_range(id, run.file_offset, Buffer(chunk, 0x5A)),
+                 CheckError);
+    ASSERT_TRUE(fs.repair(id, b).has_value());
+
+    fs.corrupt_block(id, b, run.block_offset + x);
+    const auto hits = fs.scrub(/*quarantine=*/false);
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0].file, id);
+    EXPECT_EQ(hits[0].block, b);
+  }
 }
 
 }  // namespace

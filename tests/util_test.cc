@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/check.h"
@@ -197,42 +199,90 @@ TEST(Crc32c, DetectsSingleBitFlip) {
 TEST(Crc32c, BackendIsNamed) {
   const std::string name = crc32c_backend();
   EXPECT_TRUE(name == "sse4.2" || name == "scalar") << name;
+  // The override must take: a row that sets it and silently ran the
+  // hardware path would test nothing.
+  const char* force = std::getenv("GALLOPER_CRC32C");
+  if (force && std::string(force) == "scalar") {
+    EXPECT_EQ(name, "scalar");
+  }
 }
 
-// Whatever backend is dispatched (SSE4.2 on modern x86) must agree with an
-// independent bit-at-a-time reference on every length 0..130 (covers the
-// 8-byte word loop, its tail, and both at misaligned starting offsets) plus
-// arbitrary incremental splits.
+// An independent bit-at-a-time CRC-32C register update.
+uint32_t bitwise_crc32c(uint32_t state, ConstByteSpan data) {
+  for (uint8_t byte : data) {
+    state ^= byte;
+    for (int bit = 0; bit < 8; ++bit)
+      state = (state >> 1) ^ ((state & 1) ? 0x82f63b78u : 0);
+  }
+  return state;
+}
+
+// kCrc32cInit plus 16 seeded other starting states. The hardware kernel
+// carries the caller's state in its first lane and starts the other two
+// at 0, so only a non-default state exercises the lane fold.
+std::vector<uint32_t> crc_start_states() {
+  std::vector<uint32_t> states{kCrc32cInit};
+  Rng rng(58);
+  while (states.size() < 17) {
+    const auto s = static_cast<uint32_t>(rng.next_u64());
+    if (s != kCrc32cInit) states.push_back(s);
+  }
+  return states;
+}
+
+// Whatever backend is dispatched (SSE4.2 on modern x86) must agree with
+// the bitwise reference on every length 0..1600 at starting offsets 0..7,
+// from every start state: the 8-byte word loop, its byte tail, and the
+// 256-byte three-lane path (768 bytes per round) with its fold.
 TEST(Crc32c, HardwareAgreesWithBitwiseReference) {
-  auto reference = [](uint32_t state, ConstByteSpan data) {
-    for (uint8_t byte : data) {
-      state ^= byte;
-      for (int bit = 0; bit < 8; ++bit)
-        state = (state >> 1) ^ ((state & 1) ? 0x82f63b78u : 0);
-    }
-    return state;
-  };
+  constexpr size_t kMaxLen = 1600;
   Rng rng(57);
-  const Buffer data = random_buffer(130 + 7, rng);
-  for (size_t off = 0; off < 8; ++off) {
-    for (size_t len = 0; len + off <= data.size(); ++len) {
-      const ConstByteSpan span = ConstByteSpan(data).subspan(off, len);
-      ASSERT_EQ(crc32c_extend(kCrc32cInit, span),
-                reference(kCrc32cInit, span))
-          << "off=" << off << " len=" << len;
+  const Buffer data = random_buffer(kMaxLen + 7, rng);
+  for (uint32_t start : crc_start_states()) {
+    for (size_t off = 0; off < 8; ++off) {
+      // The reference of each prefix extends the previous one by a byte.
+      uint32_t ref = start;
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        const ConstByteSpan span = ConstByteSpan(data).subspan(off, len);
+        if (len > 0) ref = bitwise_crc32c(ref, span.subspan(len - 1));
+        ASSERT_EQ(crc32c_extend(start, span), ref)
+            << "start=" << start << " off=" << off << " len=" << len;
+      }
     }
   }
-  // Incremental chaining across uneven pieces matches too.
-  const ConstByteSpan all(data);
-  uint32_t hw = kCrc32cInit, ref = kCrc32cInit;
-  for (size_t pos = 0; pos < all.size();) {
-    const size_t piece = std::min<size_t>(1 + rng.next_below(23),
-                                          all.size() - pos);
-    hw = crc32c_extend(hw, all.subspan(pos, piece));
-    ref = reference(ref, all.subspan(pos, piece));
-    pos += piece;
+}
+
+// Lengths on either side of the 8 KiB lanes' round (24 KiB) and of the
+// 64 KiB store segment, plus a 4 MiB block with a tail.
+TEST(Crc32c, LaneBoundaryLengthsAgreeWithBitwiseReference) {
+  Rng rng(59);
+  const Buffer data = random_buffer((4u << 20) + 3, rng);
+  for (size_t len : {24575u, 24576u, 24577u, 49151u, 49152u, 49153u, 65535u,
+                     65536u, 65541u, (4u << 20) + 3}) {
+    const ConstByteSpan span = ConstByteSpan(data).first(len);
+    for (uint32_t start : crc_start_states())
+      ASSERT_EQ(crc32c_extend(start, span), bitwise_crc32c(start, span))
+          << "start=" << start << " len=" << len;
   }
-  EXPECT_EQ(hw, ref);
+}
+
+// Chaining across uneven pieces matches too, with pieces long enough to
+// start, end and straddle lane rounds anywhere.
+TEST(Crc32c, IncrementalSplitsAgreeWithBitwiseReference) {
+  Rng rng(60);
+  const Buffer data = random_buffer(200 << 10, rng);
+  const ConstByteSpan all(data);
+  for (int round = 0; round < 8; ++round) {
+    uint32_t hw = kCrc32cInit;
+    size_t pos = 0;
+    while (pos < all.size()) {
+      const size_t piece = std::min<size_t>(
+          1 + rng.next_below(round % 2 ? 1000 : 40000), all.size() - pos);
+      hw = crc32c_extend(hw, all.subspan(pos, piece));
+      pos += piece;
+    }
+    EXPECT_EQ(hw, bitwise_crc32c(kCrc32cInit, all)) << "round " << round;
+  }
 }
 
 // ---------- rational ----------
