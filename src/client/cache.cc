@@ -76,7 +76,7 @@ void BlockCache::erase_locked(
     Shard& shard,
     std::unordered_map<Key, Entry, KeyHash>::iterator it) {
   Entry& e = it->second;
-  const size_t size = e.data->size();
+  const size_t size = e.data.size();
   if (e.protected_seg) {
     shard.protected_bytes -= size;
     shard.protect.erase(e.pos);
@@ -129,7 +129,7 @@ BlockCache::EntryRef BlockCache::get(uint64_t store_uid, uint64_t file,
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  const size_t size = e.data->size();
+  const size_t size = e.data.size();
   if (e.protected_seg) {
     shard.protect.splice(shard.protect.begin(), shard.protect, e.pos);
   } else {
@@ -150,7 +150,7 @@ BlockCache::EntryRef BlockCache::get(uint64_t store_uid, uint64_t file,
       shard.probation.push_front(demote->first);
       d.pos = shard.probation.begin();
       d.protected_seg = false;
-      shard.protected_bytes -= d.data->size();
+      shard.protected_bytes -= d.data.size();
     }
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
@@ -161,7 +161,7 @@ BlockCache::EntryRef BlockCache::get(uint64_t store_uid, uint64_t file,
 void BlockCache::put(uint64_t store_uid, uint64_t file, uint64_t block,
                      uint64_t segment, uint64_t generation, EntryRef bytes) {
   if (!enabled() || bytes == nullptr) return;
-  const size_t size = bytes->size();
+  const size_t size = bytes.size();
   if (size == 0 || size > shard_capacity_) return;  // uncacheable
   const Key key{store_uid, file, block, segment};
   Shard& shard = shard_of(key);
@@ -170,7 +170,7 @@ void BlockCache::put(uint64_t store_uid, uint64_t file, uint64_t block,
   if (it != shard.map.end()) {
     // Refresh in place, keeping segment membership and recency.
     Entry& e = it->second;
-    const size_t old = e.data->size();
+    const size_t old = e.data.size();
     shard.bytes += size - old;
     if (e.protected_seg) shard.protected_bytes += size - old;
     resident_bytes_.fetch_add(size, std::memory_order_relaxed);

@@ -27,9 +27,12 @@
 // segment (capped at kProtectedFraction of the shard), so one cold scan
 // churns probation instead of evicting the hot Zipf head. Shard count is
 // a power of two (GALLOPER_CLIENT_CACHE_SHARDS, default 16); capacity is
-// GALLOPER_CLIENT_CACHE=off|<MiB>, default 64. Entry storage is the
-// pool-backed Buffer, so cached segments recycle through util::BufferPool
-// like every other data-path buffer.
+// GALLOPER_CLIENT_CACHE=off|<MiB>, default 64. An entry is the store's own
+// immutable segment (util::SharedBytes), not a copy: it aliases store
+// memory, so a hit costs a refcount and the cache adds no bytes while the
+// segment is still stored. Capacity counts each entry's size all the same
+// (64 KiB per full segment), and an entry whose segment the store has
+// since replaced keeps the old bytes alive until it is evicted.
 #pragma once
 
 #include <atomic>
@@ -64,9 +67,9 @@ struct BlockCacheStats {
 
 class BlockCache {
  public:
-  // Cached segments are handed out by shared_ptr so an entry evicted or
+  // Cached segments are refcounted views, so an entry evicted or
   // invalidated mid-decode stays alive for the reader holding it.
-  using EntryRef = std::shared_ptr<const Buffer>;
+  using EntryRef = SharedBytes;
 
   // capacity_bytes == 0 disables the cache (get misses nothing — it
   // returns null without counting; put is a no-op). `shards` is rounded

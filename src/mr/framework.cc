@@ -1,7 +1,9 @@
 #include "mr/framework.h"
 
 #include <algorithm>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -9,19 +11,29 @@
 
 namespace galloper::mr {
 
-std::vector<KeyValue> shuffle_reduce(const Reducer& reducer,
-                                     std::vector<KeyValue> intermediate) {
-  // Group by key without sorting the whole intermediate. Keys and values
-  // are moved out of the pairs — the intermediate is consumed.
-  std::unordered_map<std::string, std::vector<std::string>> groups;
-  groups.reserve(intermediate.size());
-  for (auto& kv : intermediate)
-    groups[std::move(kv.key)].push_back(std::move(kv.value));
-  intermediate.clear();
+namespace {
 
-  // Reduce in ascending key order with each key's values sorted — exactly
-  // what a (key, value) sort of the whole intermediate would have fed the
-  // reducer, so results are bit-identical to the historical form.
+// Key → its values, looked up by string_view so an emitted key is copied
+// only the first time it appears.
+struct KeyHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view key) const {
+    return std::hash<std::string_view>{}(key);
+  }
+};
+using Groups = std::unordered_map<std::string, std::vector<std::string>,
+                                  KeyHash, std::equal_to<>>;
+
+void add(Groups& groups, std::string_view key, std::string value) {
+  auto it = groups.find(key);
+  if (it == groups.end()) it = groups.try_emplace(std::string(key)).first;
+  it->second.push_back(std::move(value));
+}
+
+// Reduces in ascending key order with each key's values sorted — exactly
+// what a (key, value) sort of the whole intermediate would have fed the
+// reducer, so results are bit-identical to the historical form.
+std::vector<KeyValue> reduce_groups(const Reducer& reducer, Groups& groups) {
   std::vector<const std::string*> keys;
   keys.reserve(groups.size());
   for (const auto& [key, values] : groups) keys.push_back(&key);
@@ -30,13 +42,27 @@ std::vector<KeyValue> shuffle_reduce(const Reducer& reducer,
 
   std::vector<KeyValue> out;
   for (const std::string* key : keys) {
-    auto& values = groups[*key];
+    auto& values = groups.find(*key)->second;
     if (!std::is_sorted(values.begin(), values.end()))
       std::sort(values.begin(), values.end());
     reducer.reduce(*key, values, out);
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+}  // namespace
+
+std::vector<KeyValue> shuffle_reduce(const Reducer& reducer,
+                                     std::vector<KeyValue> intermediate) {
+  // Group by key without sorting the whole intermediate. Keys and values
+  // are moved out of the pairs — the intermediate is consumed.
+  Groups groups;
+  for (auto& kv : intermediate)
+    groups.try_emplace(std::move(kv.key)).first->second.push_back(
+        std::move(kv.value));
+  intermediate = {};
+  return reduce_groups(reducer, groups);
 }
 
 void Mapper::map(ConstByteSpan input, std::vector<KeyValue>& out) const {
@@ -68,9 +94,19 @@ std::vector<KeyValue> LocalRunner::run(
 }
 
 std::vector<KeyValue> LocalRunner::run_plain(ConstByteSpan file) const {
-  std::vector<KeyValue> intermediate;
-  mapper_.map(file, intermediate);
-  return shuffle_reduce(reducer_, std::move(intermediate));
+  // The mapper emits straight into the groups: no pair of the whole file
+  // waits in an intermediate vector while they fill.
+  struct Group final : Emitter {
+    Groups& groups;
+    explicit Group(Groups& g) : groups(g) {}
+    void emit(std::string_view key, std::string_view value) override {
+      add(groups, key, std::string(value));
+    }
+  };
+  Groups groups;
+  Group sink(groups);
+  mapper_.map(file, sink);
+  return reduce_groups(reducer_, groups);
 }
 
 }  // namespace galloper::mr

@@ -1,7 +1,7 @@
 #include "store/file_store.h"
 
 #include <algorithm>
-#include <cstring>
+#include <chrono>
 #include <deque>
 #include <tuple>
 
@@ -16,18 +16,71 @@ namespace galloper::store {
 
 namespace {
 
-// Segment g of a block (the last one may be short).
-ConstByteSpan segment_of(ConstByteSpan block, size_t g) {
-  return block.subspan(g * kSegmentBytes, segment_size(block.size(), g));
-}
-
 // One CRC-32C per segment of `block` — the write-time checksums.
 std::vector<uint32_t> segment_crcs(ConstByteSpan block) {
   std::vector<uint32_t> crcs(segment_count(block.size()));
   for (size_t g = 0; g < crcs.size(); ++g)
-    crcs[g] = crc32c(segment_of(block, g));
+    crcs[g] = crc32c(block.subspan(g * kSegmentBytes,
+                                   segment_size(block.size(), g)));
   return crcs;
 }
+
+// Moves `bytes` into one shared owner and returns its segments, laid out
+// as a block's are (every segment full but the last). No byte is copied.
+std::vector<Segment> share_segments(Buffer bytes) {
+  return share_pieces(std::move(bytes), kSegmentBytes);
+}
+
+// Releases blocks drop_locked took: buffers smaller than their block (an
+// update's windows) return their pages, since the repair that follows
+// allocates whole blocks and the pool would keep the windows resident in
+// bins it never allocates from; whole-block buffers stay committed for it.
+void release_dropped(std::vector<std::vector<Segment>>& dropped) {
+  for (std::vector<Segment>& segs : dropped) {
+    size_t bytes = 0;
+    for (const Segment& s : segs) bytes += s.size();
+    release_pieces(segs, bytes);
+  }
+}
+
+// The segments back to back in one new buffer.
+Buffer join(const std::vector<Segment>& segs) {
+  size_t size = 0;
+  for (const Segment& s : segs) size += s.size();
+  Buffer out(size);
+  uint8_t* dst = out.data();
+  for (const Segment& s : segs) dst = std::copy_n(s.data(), s.size(), dst);
+  return out;
+}
+
+// The block as one span when its segments are one contiguous run (as
+// written, or compacted by FileStore::block), else nullopt.
+std::optional<ConstByteSpan> contiguous(const std::vector<Segment>& segs) {
+  for (size_t g = 1; g < segs.size(); ++g)
+    if (!segs[g - 1].followed_by(segs[g])) return std::nullopt;
+  const uint8_t* end = segs.back().data() + segs.back().size();
+  return ConstByteSpan(segs.front().data(), end);
+}
+
+// A block's segments and checksums as one shared-lock hold saw them. The
+// segments are immutable, so a check run later, unlocked, checks exactly
+// the bytes the holder goes on to use.
+struct BlockRefs {
+  std::vector<Segment> segs;
+  std::vector<uint32_t> crcs;
+
+  // Index of the first segment whose bytes do not match its checksum;
+  // nullopt if all do. Adds the bytes it checked to *counter when given.
+  std::optional<size_t> first_bad(std::atomic<size_t>* counter = nullptr) const {
+    size_t g = 0, checked = 0;
+    for (; g < segs.size(); ++g) {
+      checked += segs[g].size();
+      if (crc32c(*segs[g]) != crcs[g]) break;
+    }
+    if (counter) counter->fetch_add(checked, std::memory_order_relaxed);
+    return g < segs.size() ? std::optional<size_t>(g) : std::nullopt;
+  }
+};
 
 // Transient read faults are retried in place this many times per fetch.
 constexpr size_t kReadAttempts = 3;
@@ -47,8 +100,12 @@ bool rows_solvable(const codes::CodecPlan& plan, size_t chunk, size_t lo,
 // — whose covering segments are consecutive ids — is contiguous in it.
 struct UpdateWindow {
   std::vector<size_t> segs;
+  BlockRefs stored;  // the segments the copy is made from
   Buffer bytes;
   std::vector<uint32_t> crcs;  // of the patched segments
+  // The patched segments, owned by the window's buffer; once installed,
+  // the segments they replaced (released after the exclusive lock).
+  std::vector<Segment> installed;
   // What the verify saw, re-checked by the install.
   uint64_t generation = 0;
   size_t server = 0;
@@ -146,6 +203,14 @@ FileStore::~FileStore() {
                          segment_count(file_block_bytes_[id]));
 }
 
+void FileStore::drop_locked(FileId id, size_t b,
+                            std::vector<std::vector<Segment>>* dropped) {
+  if (files_[id][b].empty()) return;
+  bump_generation_locked(id, b);
+  dropped->push_back(std::move(files_[id][b]));
+  files_[id][b].clear();
+}
+
 void FileStore::bump_generation_locked(FileId id, size_t b) {
   ++block_gens_[id][b];
   // Drop eagerly (get() would also catch the mismatch) so a hot entry's
@@ -165,6 +230,7 @@ uint64_t FileStore::block_generation(FileId id, size_t b) const {
 FileId FileStore::write(ConstByteSpan file) {
   // Encode outside every lock (pure CPU, single-threaded).
   std::vector<Buffer> blocks = code_.encode(file);
+  const size_t bbytes = blocks[0].size();
   // Writers serialize on write_mu_ — only write() ever appends to files_,
   // so the id guessed here is the id the append gets. mu_ is NOT held
   // across the injector callbacks: a write gate (the soak harness's) calls
@@ -175,7 +241,7 @@ FileId FileStore::write(ConstByteSpan file) {
     std::shared_lock<std::shared_mutex> lock(mu_);
     id = files_.size();
   }
-  std::vector<std::optional<Buffer>> stored;
+  std::vector<std::vector<Segment>> stored;
   std::vector<std::vector<uint32_t>> crcs;
   stored.reserve(blocks.size());
   crcs.reserve(blocks.size());
@@ -184,14 +250,15 @@ FileId FileStore::write(ConstByteSpan file) {
     // TRUE checksums first (one pass, one CRC per segment), then the
     // injector's write faults: an injected bit flip / torn write is a
     // silent corruption the CRC paths catch. The file id passed to the
-    // injector is the one this write is creating.
+    // injector is the one this write is creating. The encoded buffer then
+    // becomes the owner of the block's segments, uncopied.
     crcs.push_back(segment_crcs(b));
     if (injector_)
       injector_->on_write(id, i, std::span<uint8_t>(b.data(), b.size()));
-    stored.emplace_back(std::move(b));
+    stored.push_back(share_segments(std::move(b)));
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
-  file_block_bytes_.push_back(stored[0]->size());
+  file_block_bytes_.push_back(bbytes);
   files_.push_back(std::move(stored));
   checksums_.push_back(std::move(crcs));
   block_gens_.emplace_back(code_.num_blocks(), 0);
@@ -218,22 +285,28 @@ size_t FileStore::file_bytes(FileId id) const {
   return code_.engine().num_chunks() * chunk;
 }
 
-std::optional<ConstByteSpan> FileStore::block_locked(FileId id,
-                                                     size_t b) const {
+bool FileStore::block_available_locked(FileId id, size_t b) const {
   GALLOPER_CHECK(id < files_.size());
   GALLOPER_CHECK(b < code_.num_blocks());
-  if (!cluster_.server(placement_[b]).alive() || !files_[id][b].has_value())
-    return std::nullopt;
-  return ConstByteSpan(*files_[id][b]);
-}
-
-bool FileStore::block_available_locked(FileId id, size_t b) const {
-  return block_locked(id, b).has_value();
+  return !files_[id][b].empty() && cluster_.server(placement_[b]).alive();
 }
 
 std::optional<ConstByteSpan> FileStore::block(FileId id, size_t b) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return block_locked(id, b);
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    if (!block_available_locked(id, b)) return std::nullopt;
+    if (const auto span = contiguous(files_[id][b])) return span;
+  }
+  // Segments of several owners (an update's window, a rotted segment):
+  // compact them into one allocation. The bytes and checksums stay the
+  // same, so no generation moves, and holders of the old segments keep
+  // theirs.
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  if (!block_available_locked(id, b)) return std::nullopt;
+  std::vector<Segment>& segs = files_[id][b];
+  if (const auto span = contiguous(segs)) return span;
+  segs = share_segments(join(segs));
+  return contiguous(segs);
 }
 
 bool FileStore::block_available(FileId id, size_t b) const {
@@ -248,14 +321,15 @@ void FileStore::fail_server(size_t server) {
   // before this sweep (and the sweep resets it — lost, consistent) or sees
   // the bumped epoch and aborts. Either order leaves the block lost.
   cluster_.server(server).fail();
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  for (size_t b = 0; b < placement_.size(); ++b) {
-    if (placement_[b] != server) continue;
-    for (FileId id = 0; id < files_.size(); ++id) {
-      if (files_[id][b].has_value()) bump_generation_locked(id, b);
-      files_[id][b].reset();
-    }
+  std::vector<std::vector<Segment>> dropped;
+  {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    for (size_t b = 0; b < placement_.size(); ++b)
+      if (placement_[b] == server)
+        for (FileId id = 0; id < files_.size(); ++id)
+          drop_locked(id, b, &dropped);
   }
+  release_dropped(dropped);
 }
 
 void FileStore::revive_server(size_t server) {
@@ -275,7 +349,7 @@ std::vector<size_t> FileStore::lost_blocks(FileId id) const {
   GALLOPER_CHECK(id < files_.size());
   std::vector<size_t> out;
   for (size_t b = 0; b < code_.num_blocks(); ++b)
-    if (!files_[id][b].has_value()) out.push_back(b);
+    if (files_[id][b].empty()) out.push_back(b);
   return out;
 }
 
@@ -287,11 +361,22 @@ bool FileStore::all_recoverable() const {
 }
 
 std::optional<Buffer> FileStore::read(FileId id) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  GALLOPER_CHECK(id < files_.size());
+  std::map<size_t, std::vector<Segment>> stored;
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    GALLOPER_CHECK(id < files_.size());
+    for (size_t b : available_blocks_locked(id)) stored[b] = files_[id][b];
+  }
+  // The segments are immutable: decode them unlocked, joining the blocks
+  // an update or a rot split across owners.
+  std::vector<Buffer> joined;
+  joined.reserve(stored.size());
   std::map<size_t, ConstByteSpan> view;
-  for (size_t b : available_blocks_locked(id))
-    view.emplace(b, *block_locked(id, b));
+  for (const auto& [b, segs] : stored) {
+    std::optional<ConstByteSpan> span = contiguous(segs);
+    if (!span) span = ConstByteSpan(joined.emplace_back(join(segs)));
+    view.emplace(b, *span);
+  }
   return code_.decode(view);
 }
 
@@ -357,39 +442,46 @@ std::vector<size_t> FileStore::update_range(FileId id, size_t offset,
   std::lock_guard<std::mutex> serial(*file_mu);
   constexpr size_t kMaxUpdateAttempts = 8;
   for (size_t attempt = 0; attempt < kMaxUpdateAttempts; ++attempt) {
-    // Phase 1 (shared): copy each window, CRC-check the copy segment by
-    // segment (the check covers exactly the bytes the deltas patch), and
-    // capture what the install re-checks. files_ is untouched, so a throw
-    // leaves the store as it was.
-    std::optional<std::pair<size_t, size_t>> bad;  // (block, segment)
+    // Phase 1: under the shared lock, take each window's stored segments
+    // and checksums and capture what the install re-checks; then, unlocked,
+    // copy each window (the copy-on-write) and CRC-check the copy segment
+    // by segment, so the check covers exactly the bytes the deltas patch.
+    // files_ is untouched, so a throw leaves the store as it was.
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
       for (size_t b = 0; b < code_.num_blocks(); ++b)
         GALLOPER_CHECK_MSG(block_available_locked(id, b),
                            "in-place update on a degraded stripe: repair block "
                                << b << " first");
-      size_t checked = 0;
       for (auto& [b, w] : windows) {
         w.generation = block_gens_[id][b];
         w.server = placement_[b];
         w.epoch = cluster_.server(w.server).epoch();
-        w.bytes = Buffer((w.segs.size() - 1) * kSegmentBytes +
-                         segment_size(bbytes, w.segs.back()));
-        const ConstByteSpan blk(*files_[id][b]);
-        for (size_t j = 0; j < w.segs.size() && !bad; ++j) {
-          const ConstByteSpan src = segment_of(blk, w.segs[j]);
-          const ByteSpan dst = ByteSpan(w.bytes).subspan(j * kSegmentBytes,
-                                                         src.size());
-          std::copy(src.begin(), src.end(), dst.begin());
-          checked += src.size();
-          if (crc32c(ConstByteSpan(dst)) != checksums_[id][b][w.segs[j]])
-            bad.emplace(b, w.segs[j]);
+        w.stored.segs.clear();
+        w.stored.crcs.clear();
+        for (size_t g : w.segs) {
+          w.stored.segs.push_back(files_[id][b][g]);
+          w.stored.crcs.push_back(checksums_[id][b][g]);
         }
-        if (bad) break;
       }
-      counters_.update_verified_bytes.fetch_add(checked,
-                                                std::memory_order_relaxed);
     }
+    std::optional<std::pair<size_t, size_t>> bad;  // (block, segment)
+    size_t checked = 0;
+    for (auto& [b, w] : windows) {
+      w.bytes = Buffer((w.segs.size() - 1) * kSegmentBytes +
+                       segment_size(bbytes, w.segs.back()));
+      for (size_t j = 0; j < w.segs.size() && !bad; ++j) {
+        const Segment& src = w.stored.segs[j];
+        uint8_t* dst = w.bytes.data() + j * kSegmentBytes;
+        std::copy_n(src.data(), src.size(), dst);
+        checked += src.size();
+        if (crc32c(ConstByteSpan(dst, src.size())) != w.stored.crcs[j])
+          bad.emplace(b, w.segs[j]);
+      }
+      if (bad) break;
+    }
+    counters_.update_verified_bytes.fetch_add(checked,
+                                              std::memory_order_relaxed);
     // A delta update against a silently corrupt segment would recompute
     // its checksum over the corrupt bytes, laundering the damage into a
     // "valid" state no scrub could ever catch. Quarantine and refuse
@@ -419,43 +511,47 @@ std::vector<size_t> FileStore::update_range(FileId id, size_t offset,
     // Phase 2 (no lock): each written window hits "disk" — one write-fault
     // draw per block. The callbacks run UNLOCKED because a write gate may
     // call back into the store (soak harness). The checksums computed
-    // first keep the TRUE values, so a fault is a silent corruption.
+    // first keep the TRUE values, so a fault is a silent corruption. The
+    // window's buffer then becomes the owner of its patched segments.
     for (size_t b : touched) {
       UpdateWindow& w = windows.at(b);
-      w.crcs.clear();
-      for (size_t j = 0; j < w.segs.size(); ++j)
-        w.crcs.push_back(crc32c(ConstByteSpan(w.bytes).subspan(
-            j * kSegmentBytes, segment_size(bbytes, w.segs[j]))));
+      w.crcs = segment_crcs(w.bytes);
       if (injector_) injector_->on_write(id, b, w.bytes);
+      w.installed = share_segments(std::move(w.bytes));
     }
 
     // Phase 3 (exclusive): install, unless a written block moved on since
     // phase 1 — a kill (epoch), a slot reassignment (placement) or a
     // quarantine/repair (generation). Installing then could resurrect a
     // block onto a dead server or overwrite bytes the window never saw.
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    const bool stale =
-        std::any_of(touched.begin(), touched.end(), [&](size_t b) {
-          const UpdateWindow& w = windows.at(b);
-          return block_gens_[id][b] != w.generation ||
-                 placement_[b] != w.server ||
-                 cluster_.server(w.server).epoch() != w.epoch;
-        });
-    if (stale) continue;
-    for (size_t b : touched) {
-      const UpdateWindow& w = windows.at(b);
-      // Bump-then-install under one exclusive hold: any cache entry holding
-      // the pre-update bytes is stale the instant the new content is
-      // visible.
-      bump_generation_locked(id, b);
-      Buffer& blk = *files_[id][b];
-      for (size_t j = 0; j < w.segs.size(); ++j) {
-        const size_t g = w.segs[j];
-        std::memcpy(blk.data() + g * kSegmentBytes,
-                    w.bytes.data() + j * kSegmentBytes,
-                    segment_size(bbytes, g));
-        checksums_[id][b][g] = w.crcs[j];
+    {
+      std::unique_lock<std::shared_mutex> lock(mu_);
+      const bool stale =
+          std::any_of(touched.begin(), touched.end(), [&](size_t b) {
+            const UpdateWindow& w = windows.at(b);
+            return block_gens_[id][b] != w.generation ||
+                   placement_[b] != w.server ||
+                   cluster_.server(w.server).epoch() != w.epoch;
+          });
+      if (stale) continue;
+      for (size_t b : touched) {
+        UpdateWindow& w = windows.at(b);
+        // Bump-then-install under one exclusive hold: any cache entry
+        // holding the pre-update bytes is stale the instant the new content
+        // is visible. The install swaps segments and checksums; no bytes
+        // move.
+        bump_generation_locked(id, b);
+        for (size_t j = 0; j < w.segs.size(); ++j) {
+          std::swap(files_[id][b][w.segs[j]], w.installed[j]);
+          checksums_[id][b][w.segs[j]] = w.crcs[j];
+        }
       }
+    }
+    // The replaced segments' memory goes back even while the rest of the
+    // buffer they were written in (a block, an older window) stays stored.
+    for (auto& [b, w] : windows) {
+      w.stored = {};
+      release_pieces(w.installed);
     }
     return touched;
   }
@@ -468,11 +564,17 @@ void FileStore::corrupt_block(FileId id, size_t block, size_t offset) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   GALLOPER_CHECK(id < files_.size());
   GALLOPER_CHECK(block < code_.num_blocks());
-  GALLOPER_CHECK_MSG(files_[id][block].has_value(),
+  GALLOPER_CHECK_MSG(!files_[id][block].empty(),
                      "cannot corrupt a lost block");
-  auto& data = *files_[id][block];
-  GALLOPER_CHECK(offset < data.size());
-  data[offset] ^= 0x01;
+  GALLOPER_CHECK(offset < file_block_bytes_[id]);
+  // Copy-on-write: the rotted segment replaces the stored one, and a
+  // reader or cache entry holding the old one keeps the verified bytes,
+  // the way a client's copy survives disk rot.
+  Segment& seg = files_[id][block][offset / kSegmentBytes];
+  Buffer rotted(seg.size());
+  std::copy_n(seg.data(), seg.size(), rotted.data());
+  rotted[offset % kSegmentBytes] ^= 0x01;
+  seg = share_pieces(std::move(rotted), kSegmentBytes)[0];
 }
 
 std::vector<FileStore::CorruptBlock> FileStore::scrub(bool quarantine) {
@@ -482,42 +584,42 @@ std::vector<FileStore::CorruptBlock> FileStore::scrub(bool quarantine) {
   // stored bytes, not one stripe, so it wants every core, not the (narrow,
   // blocking-sized) I/O pool. Keeping it off AsyncIo also keeps the kFetch
   // latency histogram — which sets the hedge deadline — describing real
-  // block fetches only. The calling thread holds mu_ shared for the whole
-  // scan (pool workers read block bytes without taking the lock — the
-  // shared hold is what keeps mutators out).
-  std::vector<CorruptBlock> jobs;
-  std::vector<uint8_t> bad;
+  // block fetches only. The scan takes every block's segments and
+  // checksums under the shared lock and CRCs them unlocked: the segments
+  // are immutable, so the check covers what the store held at the snapshot.
+  std::vector<std::pair<CorruptBlock, BlockRefs>> jobs;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     for (FileId id = 0; id < files_.size(); ++id)
       for (size_t b = 0; b < code_.num_blocks(); ++b)
-        if (files_[id][b].has_value()) jobs.push_back({id, b});
-    bad.assign(jobs.size(), 0);
-    rt::parallel_for(rt::ThreadPool::global(), jobs.size(),
-                     rt::ThreadPool::default_threads(), [&](size_t j) {
-                       const CorruptBlock& job = jobs[j];
-                       if (first_bad_segment_locked(job.file, job.block))
-                         bad[j] = 1;
-                     });
+        if (!files_[id][b].empty())
+          jobs.push_back({{id, b}, {files_[id][b], checksums_[id][b]}});
   }
+  std::vector<uint8_t> bad(jobs.size(), 0);
+  rt::parallel_for(rt::ThreadPool::global(), jobs.size(),
+                   rt::ThreadPool::default_threads(), [&](size_t j) {
+                     if (jobs[j].second.first_bad()) bad[j] = 1;
+                   });
 
   // Re-verify each hit under the exclusive lock before quarantining: a
   // concurrent reader may have quarantined-and-healed the block since the
   // scan, and resetting the healed copy would turn a repaired block back
   // into an erasure. Serial callers see the identical report.
   std::vector<CorruptBlock> corrupt;
+  std::vector<std::vector<Segment>> dropped;
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (size_t j = 0; j < jobs.size(); ++j) {
     if (!bad[j]) continue;
-    const CorruptBlock& c = jobs[j];
-    if (!files_[c.file][c.block].has_value()) continue;
-    if (!first_bad_segment_locked(c.file, c.block)) continue;
+    const CorruptBlock& c = jobs[j].first;
+    if (files_[c.file][c.block].empty()) continue;
+    if (!BlockRefs{files_[c.file][c.block], checksums_[c.file][c.block]}
+             .first_bad())
+      continue;
     corrupt.push_back(c);
-    if (quarantine) {
-      bump_generation_locked(c.file, c.block);
-      files_[c.file][c.block].reset();
-    }
+    if (quarantine) drop_locked(c.file, c.block, &dropped);
   }
+  lock.unlock();
+  release_dropped(dropped);
   return corrupt;
 }
 
@@ -581,18 +683,6 @@ FileStore::ReadStats FileStore::read_stats() const {
   return s;
 }
 
-std::optional<size_t> FileStore::first_bad_segment_locked(
-    FileId id, size_t b, std::atomic<size_t>* counter) const {
-  const Buffer& blk = *files_[id][b];
-  const std::vector<uint32_t>& crcs = checksums_[id][b];
-  size_t g = 0;
-  while (g < crcs.size() && crc32c(segment_of(blk, g)) == crcs[g]) ++g;
-  if (counter)
-    counter->fetch_add(std::min(blk.size(), (g + 1) * kSegmentBytes),
-                       std::memory_order_relaxed);
-  return g < crcs.size() ? std::optional<size_t>(g) : std::nullopt;
-}
-
 std::optional<double> FileStore::draw_fetch() {
   if (injector_ == nullptr) return 0.0;
   const double stall_s = injector_->read_latency();
@@ -604,14 +694,16 @@ std::optional<double> FileStore::draw_fetch() {
 }
 
 bool FileStore::quarantine_if_corrupt(FileId id, size_t b, size_t seg) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  const auto& blk = files_[id][b];
-  if (!blk.has_value() ||
-      crc32c(segment_of(*blk, seg)) == checksums_[id][b][seg])
-    return false;
-  counters_.crc_failures.fetch_add(1, std::memory_order_relaxed);
-  bump_generation_locked(id, b);
-  files_[id][b].reset();
+  std::vector<std::vector<Segment>> dropped;
+  {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    const std::vector<Segment>& blk = files_[id][b];
+    if (blk.empty() || crc32c(*blk[seg]) == checksums_[id][b][seg])
+      return false;
+    counters_.crc_failures.fetch_add(1, std::memory_order_relaxed);
+    drop_locked(id, b, &dropped);
+  }
+  release_dropped(dropped);
   return true;
 }
 
@@ -628,35 +720,32 @@ void FileStore::self_heal(FileId id, size_t b) {
 FileStore::SegmentFetch FileStore::fetch_segments(
     FileId id, size_t b, const std::vector<size_t>& segs) const {
   SegmentFetch out;
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  GALLOPER_CHECK(id < files_.size());
-  GALLOPER_CHECK(b < code_.num_blocks());
-  const auto& blk = files_[id][b];
-  if (!blk.has_value() || !cluster_.server(placement_[b]).alive())
-    return out;  // kGone
-  // Copy first, then CRC the copy: the check covers exactly the bytes
-  // handed out, and the second pass reads a segment that is still hot.
-  size_t checked = 0;
+  std::vector<uint32_t> crcs;
   out.segments.reserve(segs.size());
-  for (size_t g : segs) {
-    const ConstByteSpan src = segment_of(*blk, g);
-    // Sized allocation + memcpy: Buffer's default-init allocator turns the
-    // range constructor into a per-byte loop.
-    auto copy = std::make_shared<Buffer>(src.size());
-    std::memcpy(copy->data(), src.data(), src.size());
-    checked += copy->size();
-    if (crc32c(ConstByteSpan(*copy)) != checksums_[id][b][g]) {
+  crcs.reserve(segs.size());
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    if (!block_available_locked(id, b)) return out;  // kGone
+    for (size_t g : segs) {
+      out.segments.push_back(files_[id][b][g]);
+      crcs.push_back(checksums_[id][b][g]);
+    }
+    out.generation = block_gens_[id][b];
+  }
+  // The CRC runs unlocked over exactly the segments handed out: they are
+  // immutable, so the check covers the bytes delivered.
+  out.status = FetchStatus::kOk;
+  size_t checked = 0;
+  for (size_t j = 0; j < segs.size(); ++j) {
+    checked += out.segments[j].size();
+    if (crc32c(*out.segments[j]) != crcs[j]) {
       out.segments.clear();
       out.status = FetchStatus::kCorrupt;
-      out.bad_segment = g;
+      out.bad_segment = segs[j];
       break;
     }
-    out.segments.push_back(std::move(copy));
   }
   counters_.verified_bytes.fetch_add(checked, std::memory_order_relaxed);
-  if (out.status == FetchStatus::kCorrupt) return out;
-  out.status = FetchStatus::kOk;
-  out.generation = block_gens_[id][b];
   return out;
 }
 
@@ -953,7 +1042,7 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     GALLOPER_CHECK(id < files_.size());
-    if (files_[id][block_id].has_value()) return std::vector<size_t>{};
+    if (!files_[id][block_id].empty()) return std::vector<size_t>{};
   }
 
   // Transient helper-read faults (injected) are retried with a fresh
@@ -967,16 +1056,17 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
   constexpr size_t kMaxIncarnationRetries = 8;
   size_t incarnation_retries = 0;
   for (size_t attempt = 0; attempt < kRepairReadAttempts; ++attempt) {
-    // Helper selection + CRC verification of every helper segment run
-    // under the SHARED lock, so concurrent readers keep going while a
-    // repair storm checks its helpers. A mismatch is re-verified and
-    // quarantined under the exclusive lock like any other corrupt block
-    // (a later pass rebuilds it) and the selection rolls again without
-    // it — a silently rotted helper must never launder its corruption
-    // into a freshly-checksummed "repaired" block.
+    // Helper selection takes the helpers' segments and checksums under the
+    // SHARED lock; the CRC scan of every helper segment then runs unlocked
+    // over those immutable segments, which are exactly the bytes the
+    // rebuild reads. A mismatch is re-verified and quarantined under the
+    // exclusive lock like any other corrupt block (a later pass rebuilds
+    // it) and the selection rolls again without it — a silently rotted
+    // helper must never launder its corruption into a freshly-checksummed
+    // "repaired" block.
     std::vector<size_t> helpers;
-    size_t bbytes = 0;  // block size, for the gather's budget accounting
-    std::vector<std::pair<size_t, size_t>> bad;  // (helper, first bad segment)
+    std::map<size_t, BlockRefs> stored;  // helper (and drafted spare) → refs
+    size_t bbytes = 0;
     bool already_repaired = false;
     // The attempt's view of the TARGET: which server hosts the slot, and
     // that server's liveness epoch. Everything this attempt rebuilds is
@@ -985,15 +1075,19 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
     // kill/revive cycle in between means the revive declared the block
     // lost and installing a pre-cycle rebuild would silently resurrect it
     // (the race file_store.h used to merely document).
+    // The target's generation is re-checked too: the helpers' segments
+    // describe the file as it was while the target was lost, so a rebuild
+    // must not land after the target was installed and lost again.
     size_t target_server = 0;
-    uint64_t target_epoch = 0;
+    uint64_t target_epoch = 0, target_gen = 0;
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
       bbytes = file_block_bytes_[id];
       target_server = placement_[block_id];
       target_epoch = cluster_.server(target_server).epoch();
+      target_gen = block_gens_[id][block_id];
       if ((target_epoch & 1) != 0) return std::nullopt;  // died since entry
-      if (files_[id][block_id].has_value()) {
+      if (!files_[id][block_id].empty()) {
         already_repaired = true;  // a concurrent reader healed it first
       } else {
         // Preferred (local) helpers first; generic fallback to all
@@ -1004,12 +1098,14 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
           helpers_ok &= block_available_locked(id, h);
         if (!helpers_ok) helpers = available_blocks_locked(id);
         for (size_t h : helpers)
-          if (const auto g = first_bad_segment_locked(
-                  id, h, &counters_.repair_verified_bytes))
-            bad.emplace_back(h, *g);
+          stored[h] = {files_[id][h], checksums_[id][h]};
       }
     }
     if (already_repaired) return std::vector<size_t>{};
+    std::vector<std::pair<size_t, size_t>> bad;  // (helper, first bad segment)
+    for (size_t h : helpers)
+      if (const auto g = stored[h].first_bad(&counters_.repair_verified_bytes))
+        bad.emplace_back(h, *g);
     if (!bad.empty()) {
       for (const auto& [h, g] : bad) quarantine_if_corrupt(id, h, g);
       --attempt;  // reselection, not a transient retry
@@ -1078,18 +1174,18 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
           {
             std::shared_lock<std::shared_mutex> lock(mu_);
             for (size_t s : available_blocks_locked(id)) {
-              if (s == block_id) continue;
-              if (std::find(helpers.begin(), helpers.end(), s) !=
-                  helpers.end())
-                continue;
-              if (first_bad_segment_locked(id, s,
-                                           &counters_.repair_verified_bytes))
-                continue;
+              if (s == block_id || stored.contains(s)) continue;
+              stored[s] = {files_[id][s], checksums_[id][s]};
               spares.push_back(s);
             }
           }
-          for (size_t s : spares)
+          for (size_t s : spares) {
+            if (stored[s].first_bad(&counters_.repair_verified_bytes)) {
+              stored.erase(s);
+              continue;
+            }
             fetches.fetch(s, 0.0, fetch_probe(), /*hedge=*/true, bbytes);
+          }
         });
     // Losers (hedged-over stalls) are cancelled before anything proceeds;
     // an async crash point surfaces here, with the store unmutated.
@@ -1109,37 +1205,34 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
       continue;  // cancelled mid-gather with no decodable subset: retry
     }
 
-    // Rebuild under the shared lock (helpers must stay resident through
-    // the kernel run); a helper a concurrent reader quarantined since the
-    // gather forces a fresh selection.
-    std::optional<Buffer> rebuilt;
-    bool helpers_vanished = false;
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      std::map<size_t, ConstByteSpan> view;
-      for (size_t h : use_helpers) {
-        const auto data = block_locked(id, h);
-        if (!data) {
-          helpers_vanished = true;
-          break;
-        }
-        view.emplace(h, *data);
-      }
-      if (!helpers_vanished)
-        rebuilt = code_.engine().repair_block_with_plan(*use_plan, view);
+    // Rebuild, unlocked, from the verified helper segments: the repair
+    // plan's rows are the block's stripe positions in order, so the staged
+    // decode writes the block front to back, splitting rows at segment
+    // ends as reads do. A helper quarantined or lost since the scan does
+    // not matter: its segments stay alive, and verified, in `stored`.
+    if (!use_plan->fully_solvable()) return std::nullopt;
+    StagedSegments staged(code_.num_blocks(), bbytes);
+    for (size_t h : use_helpers) {
+      const std::vector<Segment>& segs = stored.at(h).segs;
+      for (size_t g = 0; g < segs.size(); ++g) staged.put(h, g, segs[g]);
     }
-    if (helpers_vanished) continue;
-    if (!rebuilt) return std::nullopt;
+    Buffer rebuilt(bbytes);
+    const auto t0 = std::chrono::steady_clock::now();
+    decode_staged(*use_plan, bbytes / code_.engine().stripes_per_block(), 0,
+                  bbytes, staged, rebuilt.data());
+    codes::record_exec_time(
+        codes::PlanOp::kRepair,
+        static_cast<uint64_t>(std::chrono::nanoseconds(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count()));
     // Crash window: the rebuild finished but the block is not yet
     // installed. A crash here must leave the store exactly as before the
     // repair (minus the pinned plan) — re-running the repair completes it.
     if (injector_) injector_->crash_point("store.repair");
     // The store-back rides the injector's write-fault schedule, UNLOCKED
     // (a write gate may call back into the store's locked accessors).
-    if (injector_)
-      injector_->on_write(
-          id, block_id,
-          std::span<uint8_t>(rebuilt->data(), rebuilt->size()));
+    if (injector_) injector_->on_write(id, block_id, rebuilt);
+    std::vector<Segment> segs = share_segments(std::move(rebuilt));
     {
       std::unique_lock<std::shared_mutex> lock(mu_);
       // Liveness-epoch re-check (the revive-vs-in-flight-repair fix): the
@@ -1148,12 +1241,16 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
       // under this lock any kill (or kill/revive cycle, or reassign_block
       // cutover) that raced this attempt is visible here.
       const uint64_t now_epoch = cluster_.server(target_server).epoch();
-      if (placement_[block_id] != target_server || now_epoch != target_epoch) {
+      const bool reinstalled = files_[id][block_id].empty() &&
+                               block_gens_[id][block_id] != target_gen;
+      if (placement_[block_id] != target_server || now_epoch != target_epoch ||
+          reinstalled) {
         if (placement_[block_id] == target_server && (now_epoch & 1) != 0)
           return std::nullopt;  // target is dead NOW: the block stays lost
-        // Kill/revive cycle or slot reassignment, target usable again:
-        // discard the stale rebuild and run a fresh attempt against the
-        // new incarnation (helpers re-read, epoch re-captured).
+        // Kill/revive cycle, slot reassignment or a reinstalled-and-lost
+        // target, target usable again: discard the stale rebuild and run a
+        // fresh attempt against the new incarnation (helpers re-read, epoch
+        // and generation re-captured).
         if (++incarnation_retries > kMaxIncarnationRetries)
           throw fault::TransientError(
               "target of repair of block " + std::to_string(block_id) +
@@ -1163,9 +1260,9 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
       }
       // A concurrent repair may have won the race; its bytes are as good
       // as ours (both CRC-verified rebuilds of the same block).
-      if (!files_[id][block_id].has_value()) {
+      if (files_[id][block_id].empty()) {
         bump_generation_locked(id, block_id);
-        files_[id][block_id] = std::move(*rebuilt);
+        files_[id][block_id] = std::move(segs);
       }
     }
     return use_helpers;

@@ -12,25 +12,36 @@
 // slots between servers with reassign_block, so every data path below
 // runs unchanged against a real multi-node layout.
 //
-// Verification: every block carries one CRC-32C per 64 KiB segment
-// (store/segments.h), recorded at write time. Reads are range-proportional:
-// one read core plans its decode first, then fetches through fetch_segments
-// — the one verified fetch primitive — exactly the segments the plan's
-// sources read, and decodes from those verified copies. A corrupt segment
-// is quarantined with its whole block and the read replans around it.
-// Corruption outside a read's sources is, deliberately, not that read's
-// business: scrub() (or a later read that covers it) finds it. Updates are
-// range-proportional the same way: update_range verifies, copies and
-// re-checksums only the segments covering the stripes its deltas write.
-// Scrub and repair check every segment of every block they touch.
+// Storage: every block is an array of immutable, refcounted 64 KiB
+// segments (store/segments.h), each with the CRC-32C recorded when its
+// bytes were written. A verified fetch hands out the stored segments
+// themselves, the block cache keeps those same segments, and a mutation
+// never writes into a segment: write, update and repair publish segments
+// their own buffers own, and an update or repair install swaps segment
+// references and checksums, with no bytes copied under the lock.
+//
+// Verification: reads are range-proportional: one read core plans its
+// decode first, then fetches through fetch_segments — the one verified
+// fetch primitive — exactly the segments the plan's sources read, and
+// decodes from those verified segments. Every fetch CRCs what it hands
+// out; a segment is immutable, so the check still covers the bytes a
+// decode reads. A corrupt segment is quarantined with its whole block and
+// the read replans around it. Corruption outside a read's sources is,
+// deliberately, not that read's business: scrub() (or a later read that
+// covers it) finds it. Updates are range-proportional the same way:
+// update_range verifies, copies and re-checksums only the segments
+// covering the stripes its deltas write. Scrub and repair check every
+// segment of every block they touch.
 //
 // Thread safety: the data paths (write/read/read_range/update_range/repair/
 // scrub and the client-session API) may run concurrently from many client
-// threads. Block state lives under one reader/writer lock — reads, probes,
-// decodes and an update's verify-and-copy take it shared; quarantine,
-// store-back, and an update's install take it exclusive — and the lock is
-// NEVER held while blocked in a FetchSet await, so a parked probe cannot
-// wedge a writer. Updates to one file serialize on that file's update
+// threads. Block state lives under one reader/writer lock. Fetches, scrub,
+// repair's helper selection and an update's verify take it shared, and
+// only long enough to take segment references, checksums and generations;
+// the CRCs, copies and decodes run unlocked over those immutable segments.
+// Quarantine, an update's install and a repair's install take it
+// exclusive, and swap references. The lock is NEVER held while blocked in
+// a FetchSet await, so a parked probe cannot wedge a writer. Updates to one file serialize on that file's update
 // mutex, which the store owns (callers need no lock of their own), and an
 // update's install re-checks the generation, placement and server epoch it
 // captured for every block it writes, retrying on any change — the
@@ -121,17 +132,20 @@ class FileStore {
   //  - every block carries a GENERATION, bumped under the exclusive lock by
   //    every mutation or quarantine (update install, repair install, CRC
   //    quarantine, fail_server) — and each bump also drops the cache entry;
-  //  - entries are verified SEGMENTS: the read core fills the cache from
-  //    fetch_segments, which verifies and copies the segments and reads the
-  //    generation under ONE shared-lock hold, so an entry is keyed by a
-  //    generation that was provably current when its bytes were verified;
+  //  - entries are verified SEGMENTS, the store's own: the read core fills
+  //    the cache from fetch_segments, which takes the segments and the
+  //    generation under ONE shared-lock hold and then CRCs those immutable
+  //    segments, so an entry is keyed by a generation that was provably
+  //    current when its bytes were stored, and aliases store memory rather
+  //    than copying it;
   //  - the read core's open step stages every source segment of its plan
   //    that the cache holds at the generations it snapshotted, and a read
   //    whose sources are all staged there is served with no fetch, no fault
   //    draw and no I/O pool.
   // corrupt_block() deliberately does NOT bump: silent corruption doesn't
-  // change the block's logical content, and the cached bytes are exactly
-  // what a verified read would reconstruct.
+  // change the block's logical content. It replaces the stored segment
+  // with a flipped copy, so a cached entry keeps the verified bytes, which
+  // are exactly what a verified read would reconstruct.
   //
   // set_block_cache is like set_fault_injector: not synchronized against
   // in-flight operations (attach at setup; null detaches). The attached
@@ -158,10 +172,13 @@ class FileStore {
   size_t file_bytes(FileId id) const;
 
   // The block contents as stored (nullopt if its server is dead or the
-  // block was lost). Block b of every file lives on server_of(b). The returned
-  // span is only stable while no concurrent operation quarantines or
-  // rewrites the block — concurrent callers use the verified reads, which
-  // copy under the lock.
+  // block was lost), for tests and probes; no data path uses it. Block b of
+  // every file lives on server_of(b). A block whose segments an update or
+  // corrupt_block split across several buffers is first compacted into one
+  // (same bytes and checksums, no generation bump), so repeated calls
+  // return the same span. The span is only stable while no concurrent
+  // operation quarantines or rewrites the block — concurrent callers use
+  // the verified reads, which hold the segments they read.
   std::optional<ConstByteSpan> block(FileId id, size_t block) const;
 
   // Whether the server holding `block` is alive and still has the bytes.
@@ -178,7 +195,8 @@ class FileStore {
 
   // The reference decode, an oracle and not a data path: the whole file
   // decoded from the available blocks' stored bytes with no checksum
-  // check, never quarantining, healing or filling the cache. Correctness
+  // check, never quarantining, healing or filling the cache. It holds the
+  // blocks' segments, so it decodes unlocked. Correctness
   // gates compare it to a mirror because a verifying read would heal what
   // it finds, so a rebuild that installed wrong bytes would pass them.
   // nullopt if the available blocks cannot decode the file.
@@ -292,10 +310,11 @@ class FileStore {
   // Overwrites the chunk-aligned range [offset, offset + data.size()) of
   // the original file in place, patching parity via deltas. Only the
   // stripes the deltas write are touched (CodecEngine::update_stripes):
-  // per written block, the update verifies and copies the segments
-  // covering them (its WINDOW, counted in ReadStats::update_verified_bytes),
-  // patches the copies, and installs them with fresh checksums for just
-  // those segments. All blocks must be available (an in-place update on a
+  // per written block, the update copies and verifies the segments
+  // covering them (its WINDOW, counted in ReadStats::update_verified_bytes;
+  // the copy is the copy-on-write), patches the copy, and installs it by
+  // swapping in the copy's segments with fresh checksums for just those
+  // segments. All blocks must be available (an in-place update on a
   // degraded stripe is refused with CheckError — repair first). A corrupt
   // segment inside a window is quarantined with its block and the update
   // throws CheckError, because patching it would launder the corruption
@@ -322,7 +341,10 @@ class FileStore {
   // install re-checks the target's {server, liveness epoch} captured when
   // the attempt started, so a kill (or kill/revive cycle, or slot
   // reassignment) that lands between rebuild and install aborts the stale
-  // install instead of resurrecting bytes the revive declared lost.
+  // install instead of resurrecting bytes the revive declared lost. The
+  // helpers' segments are taken under the shared lock and CRC-checked
+  // unlocked; the rebuild decodes the pinned plan straight from them
+  // (decode_staged) into a new buffer that owns the block's segments.
   // `io` routes the helper gather through a specific async pool (a data
   // node's own — cluster::RepairQueue passes the target node's pool so a
   // repair storm doesn't occupy the global client pool); null = the
@@ -344,7 +366,9 @@ class FileStore {
 
   // ---- Scrubbing (silent-corruption defense) ----------------------------
 
-  // Fault injection: flips one byte inside a stored block.
+  // Fault injection: flips one byte inside a stored block. The segment
+  // holding it is replaced by a flipped copy; holders of the old segment
+  // keep the old bytes.
   void corrupt_block(FileId id, size_t block, size_t offset);
 
   struct CorruptBlock {
@@ -354,8 +378,8 @@ class FileStore {
   // Recomputes every stored segment's CRC-32C against the checksum
   // recorded at write time. Blocks with a mismatching segment are reported
   // and (when `quarantine`) dropped, so a subsequent RecoveryManager pass
-  // rebuilds them. The CRC pass scatter-gathers over the compute pool under
-  // the shared lock (the jobs only read disjoint blocks); quarantining then
+  // rebuilds them. The CRC pass takes every block's segments under the
+  // shared lock and checks them on the compute pool; quarantining then
   // re-verifies each hit under the exclusive lock — a block a concurrent
   // reader healed in the window is left alone — so the serial report is
   // unchanged and the concurrent one never drops a good block.
@@ -378,7 +402,6 @@ class FileStore {
 
  private:
   // _locked helpers assume the caller holds mu_ (shared suffices).
-  std::optional<ConstByteSpan> block_locked(FileId id, size_t b) const;
   bool block_available_locked(FileId id, size_t b) const;
   std::vector<size_t> available_blocks_locked(FileId id) const;
   // The attached block cache when it is enabled, else null.
@@ -392,11 +415,11 @@ class FileStore {
   // holds mu_ EXCLUSIVE (the bump must be ordered with the mutation it
   // describes).
   void bump_generation_locked(FileId id, size_t b);
-  // Index of the first segment of resident block (id, b) whose bytes no
-  // longer match their checksum; nullopt if every segment is clean. Adds
-  // the bytes it checked to *counter when given.
-  std::optional<size_t> first_bad_segment_locked(
-      FileId id, size_t b, std::atomic<size_t>* counter = nullptr) const;
+  // Loses resident block (id, b): bumps its generation and moves its
+  // segments to *dropped, which the caller releases after the lock
+  // (release_dropped in file_store.cc). Caller holds mu_ EXCLUSIVE.
+  void drop_locked(FileId id, size_t b,
+                   std::vector<std::vector<Segment>>* dropped);
   // Re-checks segment `seg` of (id, b) under the exclusive lock and, if it
   // still mismatches, quarantines the block and counts a CRC failure (a
   // concurrent reader may have healed it since the fetch — a good block is
@@ -410,16 +433,17 @@ class FileStore {
   enum class FetchStatus { kOk, kGone, kCorrupt };
   struct SegmentFetch {
     FetchStatus status = FetchStatus::kGone;
-    uint64_t generation = 0;        // block generation the copies were read at
-    std::vector<Segment> segments;  // kOk: one copy per requested segment
+    uint64_t generation = 0;        // block generation the segments are of
+    std::vector<Segment> segments;  // kOk: the requested stored segments
     size_t bad_segment = 0;         // kCorrupt: the first mismatching segment
   };
-  // Under the shared lock: copies block b's segments `segs` (sorted ids),
-  // CRC-checks each copy against its write-time checksum, and returns the
-  // copies with the generation they were read at. kGone when the block is
-  // lost or its server is dead; kCorrupt (no copies) when a segment fails
-  // its checksum — the caller quarantines. Counts the checked bytes in
-  // ReadStats::verified_bytes. Every read path fetches through this.
+  // Takes block b's segments `segs` (sorted ids), their checksums and the
+  // block's generation under one shared-lock hold, then, unlocked,
+  // CRC-checks each segment and hands out the stored segments themselves,
+  // no copy. kGone when the block is lost or its server is dead; kCorrupt
+  // (no segments) when a segment fails its checksum — the caller
+  // quarantines. Counts the checked bytes in ReadStats::verified_bytes.
+  // Every read path fetches through this.
   SegmentFetch fetch_segments(FileId id, size_t b,
                               const std::vector<size_t>& segs) const;
   // The fault schedule of ONE block fetch, drawn on the calling thread:
@@ -479,9 +503,12 @@ class FileStore {
   // placement_[block slot] → server id (identity unless set_placement /
   // reassign_block changed it). Liveness of slot b is its server's.
   alignas(64) std::vector<size_t> placement_;
-  // files_[id][block] — nullopt once lost.
-  std::vector<std::vector<std::optional<Buffer>>> files_;
-  // checksums_[id][block][segment] — CRC-32C at write time.
+  // files_[id][block][segment] — the block's immutable segments, empty
+  // once lost. Mutations replace segments and never write into one.
+  // Mutable for block(), whose compaction keeps the bytes.
+  mutable std::vector<std::vector<std::vector<Segment>>> files_;
+  // checksums_[id][block][segment] — the segment's CRC-32C, taken when its
+  // bytes were written (write, update); repair keeps it.
   std::vector<std::vector<std::vector<uint32_t>>> checksums_;
   // Per-block cache generation (see the block-cache section above).
   std::vector<std::vector<uint64_t>> block_gens_;

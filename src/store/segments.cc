@@ -9,7 +9,7 @@ namespace galloper::store {
 const uint8_t* StagedSegments::at(size_t block, size_t offset) const {
   const size_t seg = offset / kSegmentBytes;
   GALLOPER_DCHECK(has(block, seg));
-  return segs_[block][seg]->data() + offset % kSegmentBytes;
+  return segs_[block][seg].data() + offset % kSegmentBytes;
 }
 
 namespace {

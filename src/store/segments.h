@@ -1,17 +1,17 @@
-// Segment checksums: FileStore records one CRC-32C per kSegmentBytes of
-// every block (the last segment of a block may be short) — HDFS's
-// bytes-per-checksum — so a read verifies, copies and caches only the
-// segments its decode plan actually reads, not whole blocks.
+// Segments: FileStore keeps every block as kSegmentBytes pieces (the last
+// one may be short), each an immutable, refcounted Segment with one
+// CRC-32C — HDFS's bytes-per-checksum — so a read verifies and caches only
+// the segments its decode plan actually reads, not whole blocks, and hands
+// out the stored segments themselves, never copies of them.
 //
 // This header holds the pieces every verified read path shares: the
-// segment geometry, the per-read staging of verified segment copies, the
-// "which segments does this plan read" query, and the decode that executes
-// a plan's rows straight out of the staged copies.
+// segment geometry, the per-read staging of verified segments, the "which
+// segments does this plan read" query, and the decode that executes a
+// plan's rows straight out of the staged segments.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "codes/plan.h"
@@ -32,19 +32,21 @@ inline size_t segment_size(size_t block_bytes, size_t g) {
   return std::min(kSegmentBytes, block_bytes - g * kSegmentBytes);
 }
 
-// One verified segment copy. Shared, so the block cache and an in-flight
-// decode can hold the same bytes.
-using Segment = std::shared_ptr<const Buffer>;
+// One stored segment: an immutable view into the allocation that owns it
+// (an encoded block, an update's window, a rebuilt block). The store, the
+// block cache and in-flight decodes all hold the same bytes; a mutation
+// publishes new segments and never writes into one someone may hold.
+using Segment = SharedBytes;
 
-// The verified segments one read has staged, per block id, allocated up
-// front for every segment of every block.
+// The verified segments one read (or one repair) has staged, per block id,
+// allocated up front for every segment of every block.
 class StagedSegments {
  public:
   StagedSegments(size_t num_blocks, size_t block_bytes)
       : segs_(num_blocks, std::vector<Segment>(segment_count(block_bytes))) {}
 
   bool has(size_t block, size_t seg) const {
-    return segs_[block][seg] != nullptr;
+    return static_cast<bool>(segs_[block][seg]);
   }
   void put(size_t block, size_t seg, Segment bytes) {
     segs_[block][seg] = std::move(bytes);

@@ -2,9 +2,87 @@
 
 #include <algorithm>
 
+#if defined(__unix__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
+
 #include "util/check.h"
 
 namespace galloper {
+
+namespace {
+
+// The deleter of a share_pieces piece: holds the owner for the piece.
+struct PieceOwner {
+  std::shared_ptr<const Buffer> owner;
+  void operator()(const uint8_t*) const {}
+};
+
+}  // namespace
+
+void release_pieces(std::vector<SharedBytes>& views,
+                    size_t dying_owners_below) {
+#if defined(__unix__)
+  // The pieces nothing else holds (no one can copy one any more), each
+  // with its owner, held here so no concurrent drop frees and reuses the
+  // owner under the madvise. Sorted by address, an owner's pieces are
+  // consecutive.
+  std::vector<std::pair<std::shared_ptr<const Buffer>, ConstByteSpan>> dead;
+  for (const SharedBytes& v : views)
+    if (const auto* p = std::get_deleter<PieceOwner>(v.data_);
+        p != nullptr && v.data_.use_count() == 1)
+      dead.emplace_back(p->owner, *v);
+  views.clear();
+  std::sort(dead.begin(), dead.end(), [](const auto& a, const auto& b) {
+    return a.second.data() < b.second.data();
+  });
+  static const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  for (size_t i = 0, k = 0; i < dead.size(); i = k) {
+    for (k = i; k < dead.size() && dead[k].first == dead[i].first; ++k) {
+    }
+    // Each live piece holds one owner reference, as does each entry here.
+    if (dead[i].first.use_count() <= static_cast<long>(k - i) &&
+        dead[i].first->size() >= dying_owners_below)
+      continue;
+    // Adjacent pieces (a stripe's segments) go in one call; pages shared
+    // with a live piece stay. The pages read as zero from here on, and
+    // the owner's later reuse refaults them.
+    for (size_t r = i, e; r < k; r = e) {
+      for (e = r + 1; e < k && dead[e].second.data() ==
+                                   dead[e - 1].second.data() +
+                                       dead[e - 1].second.size();
+           ++e) {
+      }
+      const uintptr_t lo =
+          (reinterpret_cast<uintptr_t>(dead[r].second.data()) + page - 1) &
+          ~(page - 1);
+      const uintptr_t hi = reinterpret_cast<uintptr_t>(
+                               dead[e - 1].second.data() +
+                               dead[e - 1].second.size()) &
+                           ~(page - 1);
+      if (lo < hi) madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+    }
+  }
+#else
+  (void)dying_owners_below;
+  views.clear();
+#endif
+}
+
+std::vector<SharedBytes> share_pieces(Buffer bytes, size_t piece) {
+  GALLOPER_CHECK(piece > 0);
+  const auto owner = std::make_shared<const Buffer>(std::move(bytes));
+  std::vector<SharedBytes> out;
+  out.reserve((owner->size() + piece - 1) / piece);
+  for (size_t at = 0; at < owner->size(); at += piece) {
+    const size_t len = std::min(piece, owner->size() - at);
+    out.emplace_back(std::shared_ptr<const uint8_t>(owner->data() + at,
+                                                    PieceOwner{owner}),
+                     len);
+  }
+  return out;
+}
 
 Buffer random_buffer(size_t size, Rng& rng) {
   Buffer b(size);

@@ -62,6 +62,61 @@ using Buffer =
 using ByteSpan = std::span<uint8_t>;
 using ConstByteSpan = std::span<const uint8_t>;
 
+// An immutable byte range that shares ownership of the Buffer holding it
+// (a shared pointer to its first byte plus a size): copying one bumps a
+// refcount and never the bytes, and the owner lives until its last view is
+// gone. The store keeps each block as such views of 64 KiB segments
+// (share_pieces), and the block cache and in-flight decodes hold the same
+// views. Null when default-built; dereferences to its bytes, like the
+// shared_ptr<const Buffer> it replaced.
+class SharedBytes {
+ public:
+  friend void release_pieces(std::vector<SharedBytes>& views,
+                             size_t dying_owners_below);
+
+  SharedBytes() = default;
+  SharedBytes(std::nullptr_t) {}
+  // All of `owner`.
+  SharedBytes(const std::shared_ptr<const Buffer>& owner)
+      : data_(owner, owner ? owner->data() : nullptr),
+        size_(data_ ? owner->size() : 0) {}
+  // `size` bytes at `data`, which keeps them alive.
+  SharedBytes(std::shared_ptr<const uint8_t> data, size_t size)
+      : data_(std::move(data)), size_(data_ ? size : 0) {}
+
+  const uint8_t* data() const { return data_.get(); }
+  size_t size() const { return size_; }
+  ConstByteSpan operator*() const { return {data_.get(), size_}; }
+  explicit operator bool() const { return data_ != nullptr; }
+  friend bool operator==(const SharedBytes& a, std::nullptr_t) {
+    return a.data_ == nullptr;
+  }
+  // Whether `next` starts where this view ends.
+  bool followed_by(const SharedBytes& next) const {
+    return data() + size_ == next.data();
+  }
+
+ private:
+  std::shared_ptr<const uint8_t> data_;
+  size_t size_ = 0;
+};
+
+// Moves `bytes` into a shared owner and returns its consecutive pieces of
+// `piece` bytes (the last may be short), no copy. Each piece has its own
+// refcount, so release_pieces can tell when nothing else holds one.
+std::vector<SharedBytes> share_pieces(Buffer bytes, size_t piece);
+
+// Drops `views`. A share_pieces piece that nothing else holds first
+// returns its whole pages to the OS when its owner outlives the drop
+// through other pieces: a buffer superseded piece by piece then pins only
+// its live pieces' memory, while one superseded whole goes back to the
+// pool with its pages committed, ready for reuse. Owners smaller than
+// `dying_owners_below` bytes that die here return their pages too, for a
+// caller whose next allocations are larger and would leave them resident
+// in the pool's smaller bins.
+void release_pieces(std::vector<SharedBytes>& views,
+                    size_t dying_owners_below = 0);
+
 // Returns a buffer of `size` deterministic pseudo-random bytes.
 Buffer random_buffer(size_t size, Rng& rng);
 

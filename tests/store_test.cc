@@ -7,6 +7,7 @@
 #include <set>
 #include <thread>
 
+#include "client/cache.h"
 #include "codes/reed_solomon.h"
 #include "core/galloper.h"
 #include "core/input_format.h"
@@ -1052,6 +1053,165 @@ TEST(LaneBoundaryCorruption, EveryLaneAndTheTailIsCaught) {
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0].file, id);
     EXPECT_EQ(hits[0].block, b);
+  }
+}
+
+// ---- Immutable segments ------------------------------------------------------
+
+// The block cache holds the store's own segments, and rot replaces a stored
+// segment with a flipped copy: a cached read keeps serving the verified
+// bytes, and once the cache is dropped the next read finds the flip,
+// decodes around it and heals the block.
+TEST(ImmutableSegmentTest, RotAfterCachingServesCachedBytesThenHeals) {
+  core::GalloperCode code(4, 2, 2);
+  sim::Simulation simulation;
+  sim::Cluster cluster(simulation, code.num_blocks(), sim::ServerSpec{});
+  client::BlockCache cache(size_t{16} << 20);
+  FileStore fs(cluster, code);
+  fs.set_block_cache(&cache);
+  const size_t chunk = 256 << 10;
+  Rng rng(83);
+  const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const FileId id = fs.write(file);
+
+  // File chunk 0 sits verbatim in one data block: find where.
+  std::vector<size_t> all(code.num_blocks());
+  for (size_t b = 0; b < all.size(); ++b) all[b] = b;
+  const auto plan = code.engine().plan_decode_fast(all);
+  const codes::CodecPlan::Row& row = plan->row(0);
+  ASSERT_GE(row.copy_slot, 0);
+  const size_t home = plan->source_blocks()[row.copy_slot];
+  const size_t offset = 1000, length = 4096;
+  const auto expect_file = [&](const std::optional<Buffer>& got) {
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(std::equal(got->begin(), got->end(), file.begin() + offset));
+  };
+
+  expect_file(fs.read_range(id, offset, length));  // fills the cache
+  fs.corrupt_block(id, home, row.copy_pos * chunk + offset + 10);
+  const FileStore::ReadStats before = fs.read_stats();
+  expect_file(fs.read_range(id, offset, length));  // staged from the cache
+  EXPECT_EQ(fs.read_stats().verified_reads, before.verified_reads);
+  EXPECT_EQ(fs.read_stats().crc_failures, before.crc_failures);
+
+  cache.clear();
+  expect_file(fs.read_range(id, offset, length));
+  EXPECT_EQ(fs.read_stats().crc_failures, before.crc_failures + 1);
+  EXPECT_EQ(fs.read_stats().degraded_reads, before.degraded_reads + 1);
+  EXPECT_TRUE(fs.lost_blocks(id).empty());
+  EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
+}
+
+// An update installs its window by swapping segments, so readers inside
+// the chunk it rewrites never see a torn chunk: every read returns the
+// chunk as it stood before or after some update. The chunk spans two
+// segments and one reader straddles their edge. The cache is off: each
+// read is then one fetch of one block under one lock hold.
+TEST(ImmutableSegmentTest, ReadsInsideAChunkNeverSeeATornUpdate) {
+  core::GalloperCode code(4, 2, 2);
+  sim::Simulation simulation;
+  sim::Cluster cluster(simulation, code.num_blocks(), sim::ServerSpec{});
+  FileStore fs(cluster, code);
+  fs.set_block_cache(nullptr);
+  const size_t chunk = 2 * kSegmentBytes;
+  Rng rng(89);
+  const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const FileId id = fs.write(file);
+  const size_t c = 1;  // the updated chunk
+  std::vector<Buffer> versions;
+  versions.emplace_back(file.begin() + c * chunk,
+                        file.begin() + (c + 1) * chunk);
+  for (size_t v = 0; v < 16; ++v) versions.push_back(random_buffer(chunk, rng));
+
+  // (offset inside the chunk, length) per reader.
+  const std::pair<size_t, size_t> reads[] = {{0, chunk},
+                                             {kSegmentBytes - 2048, 4096}};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> torn{0}, completed{0};
+  std::vector<std::thread> readers;
+  for (const auto& [at, len] : reads) {
+    readers.emplace_back([&, at = at, len = len] {
+      while (!done.load()) {
+        const auto got = fs.read_range(id, c * chunk + at, len);
+        if (!got) {
+          ++torn;
+          continue;
+        }
+        const bool whole = std::any_of(
+            versions.begin(), versions.end(), [&](const Buffer& v) {
+              return std::equal(got->begin(), got->end(), v.begin() + at);
+            });
+        if (!whole) ++torn;
+        ++completed;
+      }
+    });
+  }
+  // Cycle through the versions until the readers have overlapped many
+  // updates (at least one full cycle).
+  while (completed.load() < 2) std::this_thread::yield();
+  size_t v = 0;
+  for (size_t n = 1; n < versions.size() || completed.load() < 400; ++n) {
+    v = n % versions.size();
+    fs.update_range(id, c * chunk, versions[v]);
+  }
+  done = true;
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(torn.load(), 0u);
+  Buffer mirror = file;
+  std::copy(versions[v].begin(), versions[v].end(),
+            mirror.begin() + c * chunk);
+  expect_blocks_encode(fs, id, mirror);
+}
+
+// Repair rebuilds through decode_staged over the helpers' stored segments.
+// Seeded update sequences leave each helper's segments spread over several
+// owners (the write's buffer and the update windows, whose edges straddle
+// segments); the repair of every slot must still equal encode(mirror)[b]
+// and the engine's whole-block repair over contiguous helper copies.
+TEST(ImmutableSegmentTest, StagedRepairMatchesWholeBlockRepairAfterUpdates) {
+  core::GalloperCode code(4, 2, 2);
+  const codes::CodecEngine& engine = code.engine();
+  io::AsyncIo repair_io(1);
+  for (const uint64_t seed : {3u, 5u, 7u}) {
+    sim::Simulation simulation;
+    sim::Cluster cluster(simulation, code.num_blocks(), sim::ServerSpec{});
+    FileStore fs(cluster, code);
+    const size_t chunk = 40000;
+    Rng rng(seed);
+    Buffer mirror = random_buffer(engine.num_chunks() * chunk, rng);
+    const FileId id = fs.write(mirror);
+    for (size_t u = 0; u < 12; ++u) {
+      const size_t first = rng.next_below(engine.num_chunks());
+      const size_t count =
+          1 + rng.next_below(std::min<size_t>(3, engine.num_chunks() - first));
+      const Buffer patch = random_buffer(count * chunk, rng);
+      fs.update_range(id, first * chunk, patch);
+      std::copy(patch.begin(), patch.end(), mirror.begin() + first * chunk);
+    }
+    const std::vector<Buffer> want = code.encode(mirror);
+    for (size_t b = 0; b < code.num_blocks(); ++b) {
+      fs.fail_server(fs.server_of(b));
+      fs.revive_server(fs.server_of(b));
+      const auto helpers = fs.repair(id, b, &repair_io);
+      ASSERT_TRUE(helpers.has_value()) << "seed " << seed << " block " << b;
+      const auto got = fs.block(id, b);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_TRUE(std::equal(got->begin(), got->end(), want[b].begin(),
+                             want[b].end()))
+          << "seed " << seed << " block " << b;
+      std::map<size_t, ConstByteSpan> copies;
+      for (size_t h : *helpers) copies.emplace(h, want[h]);
+      const auto whole = engine.repair_block_with_plan(
+          *engine.plan_repair(b, *helpers), copies);
+      ASSERT_TRUE(whole.has_value());
+      EXPECT_TRUE(std::equal(got->begin(), got->end(), whole->begin(),
+                             whole->end()))
+          << "seed " << seed << " block " << b;
+    }
+    // The helpers the repairs read were the stored segments: contiguous,
+    // they equal the copies the engine repair used.
+    expect_blocks_encode(fs, id, mirror);
+    EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
   }
 }
 
