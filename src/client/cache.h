@@ -9,14 +9,14 @@
 //    trustworthy as a verified read — no re-CRC on the hot path. A read
 //    miss fills exactly the segments its decode plan read (64 KiB each),
 //    not whole multi-MiB blocks.
-//  - FileStore keeps a per-block generation counter and bumps it on every
+//  - FileStore's block versions carry a generation, bumped by every
 //    mutation or quarantine (update_range, repair install, CRC quarantine,
-//    fail_server). get() returns bytes only when the caller's CURRENT
-//    generation matches the one stored with the entry; a mismatch drops
-//    the entry and reports a miss. Stale bytes are therefore structurally
-//    unservable: the store bumps before any new content is visible, and
-//    entries are keyed by the generation that was current when the bytes
-//    were verified. (Silent corruption deliberately does NOT bump — the
+//    fail_server). get() returns bytes only when the caller's generation
+//    (its read's snapshot) matches the one stored with the entry; a
+//    mismatch drops the entry and reports a miss. Bytes of another
+//    version are therefore structurally unservable: a new version carries
+//    a new generation, and entries are keyed by the generation of the
+//    version their bytes were taken from. (Silent corruption deliberately does NOT bump — the
 //    cached copy still holds the true logical content, which is exactly
 //    what verified reads of a corrupt block reconstruct.)
 //  - store uid (a process-unique counter, not the address) prevents a
@@ -89,16 +89,17 @@ class BlockCache {
   size_t shard_count() const { return shard_count_; }
 
   // Bytes of (store_uid, file, block, segment) if cached AND the entry's
-  // stored generation equals `generation` (the caller reads the block's
-  // current one from the store under its lock). A generation mismatch
+  // stored generation equals `generation` (the caller's: the generation of
+  // the block version its read snapshotted). A generation mismatch
   // drops the stale entry (counted as an invalidation) and misses.
   EntryRef get(uint64_t store_uid, uint64_t file, uint64_t block,
                uint64_t segment, uint64_t generation);
 
   // Inserts verified segment bytes observed at `generation`. The caller
-  // must have CRC-verified `bytes` against the segment checksum read under
-  // the same lock hold as the generation. Replaces any existing entry for
-  // the key in place (keeping its LRU segment and recency).
+  // must have CRC-verified `bytes` against their checksum, with bytes,
+  // checksum and generation taken from one block version. Replaces any
+  // existing entry for the key in place (keeping its LRU segment and
+  // recency).
   void put(uint64_t store_uid, uint64_t file, uint64_t block,
            uint64_t segment, uint64_t generation, EntryRef bytes);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <ranges>
 #include <tuple>
 
 #include "client/cache.h"
@@ -31,16 +32,22 @@ std::vector<Segment> share_segments(Buffer bytes) {
   return share_pieces(std::move(bytes), kSegmentBytes);
 }
 
-// Releases blocks drop_locked took: buffers smaller than their block (an
-// update's windows) return their pages, since the repair that follows
-// allocates whole blocks and the pool would keep the windows resident in
-// bins it never allocates from; whole-block buffers stay committed for it.
-void release_dropped(std::vector<std::vector<Segment>>& dropped) {
-  for (std::vector<Segment>& segs : dropped) {
+// Releases versions the store dropped, or that a finished read held last,
+// skipping segments others still hold. Their pages go back to the system,
+// but for whole blocks the store drops (`keep_whole_blocks`): those stay
+// committed for the repair that follows, which allocates whole blocks. A
+// buffer a read held last reaches the pool only after that repair.
+void release_versions(std::vector<VersionRef>& versions,
+                      bool keep_whole_blocks = false) {
+  for (VersionRef& v : versions) {
+    if (v.use_count() != 1) continue;
+    std::vector<Segment> segs = v->segs;
+    v.reset();
     size_t bytes = 0;
     for (const Segment& s : segs) bytes += s.size();
-    release_pieces(segs, bytes);
+    release_pieces(segs, keep_whole_blocks ? bytes : SIZE_MAX);
   }
+  versions.clear();
 }
 
 // The segments back to back in one new buffer.
@@ -62,25 +69,25 @@ std::optional<ConstByteSpan> contiguous(const std::vector<Segment>& segs) {
   return ConstByteSpan(segs.front().data(), end);
 }
 
-// A block's segments and checksums as one shared-lock hold saw them. The
-// segments are immutable, so a check run later, unlocked, checks exactly
-// the bytes the holder goes on to use.
-struct BlockRefs {
-  std::vector<Segment> segs;
-  std::vector<uint32_t> crcs;
-
-  // Index of the first segment whose bytes do not match its checksum;
-  // nullopt if all do. Adds the bytes it checked to *counter when given.
-  std::optional<size_t> first_bad(std::atomic<size_t>* counter = nullptr) const {
-    size_t g = 0, checked = 0;
-    for (; g < segs.size(); ++g) {
-      checked += segs[g].size();
-      if (crc32c(*segs[g]) != crcs[g]) break;
-    }
-    if (counter) counter->fetch_add(checked, std::memory_order_relaxed);
-    return g < segs.size() ? std::optional<size_t>(g) : std::nullopt;
-  }
-};
+// The first of segments `ids` (default: all) of `v` whose bytes do not
+// match their checksum; nullopt if all do. Adds the bytes it checked to
+// *counter when given.
+template <typename Ids>
+std::optional<size_t> first_bad(const BlockVersion& v, const Ids& ids,
+                                std::atomic<size_t>* counter = nullptr) {
+  size_t checked = 0;
+  const auto bad = std::ranges::find_if(ids, [&](size_t g) {
+    checked += v.segs[g].size();
+    return crc32c(*v.segs[g]) != v.crcs[g];
+  });
+  if (counter) counter->fetch_add(checked, std::memory_order_relaxed);
+  return bad == std::ranges::end(ids) ? std::nullopt
+                                      : std::optional<size_t>(*bad);
+}
+std::optional<size_t> first_bad(const BlockVersion& v,
+                                std::atomic<size_t>* counter = nullptr) {
+  return first_bad(v, std::views::iota(size_t{0}, v.segs.size()), counter);
+}
 
 // Transient read faults are retried in place this many times per fetch.
 constexpr size_t kReadAttempts = 3;
@@ -100,14 +107,13 @@ bool rows_solvable(const codes::CodecPlan& plan, size_t chunk, size_t lo,
 // — whose covering segments are consecutive ids — is contiguous in it.
 struct UpdateWindow {
   std::vector<size_t> segs;
-  BlockRefs stored;  // the segments the copy is made from
+  VersionRef stored;  // the version the copy is made from
   Buffer bytes;
   std::vector<uint32_t> crcs;  // of the patched segments
   // The patched segments, owned by the window's buffer; once installed,
   // the segments they replaced (released after the exclusive lock).
   std::vector<Segment> installed;
-  // What the verify saw, re-checked by the install.
-  uint64_t generation = 0;
+  // What the verify saw (and stored->generation), re-checked by the install.
   size_t server = 0;
   uint64_t epoch = 0;
 
@@ -137,11 +143,11 @@ struct UpdateWindow {
 // interleave. Fetches only read shared state; every mutation (quarantine,
 // store-back) happens after the fetch set is joined.
 //
-// Locking discipline (mu_ is the block-state reader/writer lock):
-//  - probes/decodes take mu_ SHARED, re-checking residency inside (a
-//    concurrent reader may have quarantined the block since submission);
-//  - quarantine/install and an update's install take mu_ EXCLUSIVE (an
-//    update verifies and copies its windows under mu_ SHARED);
+// Locking discipline (mu_ guards the version pointers and placement):
+//  - a path takes its versions under ONE shared hold and works unlocked;
+//    the fetch body's shared hold only asks whether the block is gone;
+//  - a mutation publishes its version under mu_ EXCLUSIVE, re-checking
+//    generations and segment identity there, never a CRC;
 //  - mu_ is never held across a FetchSet await/join, so a probe parked in
 //    an injected stall cannot wedge writers (the stall runs BEFORE the
 //    probe body via FetchSet's stall_s, outside any lock);
@@ -204,27 +210,30 @@ FileStore::~FileStore() {
 }
 
 void FileStore::drop_locked(FileId id, size_t b,
-                            std::vector<std::vector<Segment>>* dropped) {
-  if (files_[id][b].empty()) return;
-  bump_generation_locked(id, b);
-  dropped->push_back(std::move(files_[id][b]));
-  files_[id][b].clear();
+                            std::vector<VersionRef>* dropped) {
+  if (files_[id][b]->segs.empty()) return;
+  dropped->push_back(
+      bump_generation_locked(id, b, {0, {}, files_[id][b]->crcs}));
 }
 
-void FileStore::bump_generation_locked(FileId id, size_t b) {
-  ++block_gens_[id][b];
+VersionRef FileStore::bump_generation_locked(FileId id, size_t b,
+                                             BlockVersion next) {
+  VersionRef& cur = files_[id][b];
+  next.generation = cur->generation + 1;
   // Drop eagerly (get() would also catch the mismatch) so a hot entry's
   // memory is reclaimed the moment it goes stale.
   if (cache_)
     cache_->invalidate(cache_uid_, id, b,
                        segment_count(file_block_bytes_[id]));
+  return std::exchange(cur, std::make_shared<const BlockVersion>(
+                                std::move(next)));
 }
 
 uint64_t FileStore::block_generation(FileId id, size_t b) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   GALLOPER_CHECK(id < files_.size());
   GALLOPER_CHECK(b < code_.num_blocks());
-  return block_gens_[id][b];
+  return files_[id][b]->generation;
 }
 
 FileId FileStore::write(ConstByteSpan file) {
@@ -241,10 +250,8 @@ FileId FileStore::write(ConstByteSpan file) {
     std::shared_lock<std::shared_mutex> lock(mu_);
     id = files_.size();
   }
-  std::vector<std::vector<Segment>> stored;
-  std::vector<std::vector<uint32_t>> crcs;
+  std::vector<VersionRef> stored;
   stored.reserve(blocks.size());
-  crcs.reserve(blocks.size());
   for (size_t i = 0; i < blocks.size(); ++i) {
     auto& b = blocks[i];
     // TRUE checksums first (one pass, one CRC per segment), then the
@@ -252,16 +259,15 @@ FileId FileStore::write(ConstByteSpan file) {
     // silent corruption the CRC paths catch. The file id passed to the
     // injector is the one this write is creating. The encoded buffer then
     // becomes the owner of the block's segments, uncopied.
-    crcs.push_back(segment_crcs(b));
+    std::vector<uint32_t> crcs = segment_crcs(b);
     if (injector_)
       injector_->on_write(id, i, std::span<uint8_t>(b.data(), b.size()));
-    stored.push_back(share_segments(std::move(b)));
+    stored.push_back(std::make_shared<const BlockVersion>(BlockVersion{
+        0, share_segments(std::move(b)), std::move(crcs)}));
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   file_block_bytes_.push_back(bbytes);
   files_.push_back(std::move(stored));
-  checksums_.push_back(std::move(crcs));
-  block_gens_.emplace_back(code_.num_blocks(), 0);
   update_mu_.push_back(std::make_unique<std::mutex>());
   return id;
 }
@@ -288,25 +294,26 @@ size_t FileStore::file_bytes(FileId id) const {
 bool FileStore::block_available_locked(FileId id, size_t b) const {
   GALLOPER_CHECK(id < files_.size());
   GALLOPER_CHECK(b < code_.num_blocks());
-  return !files_[id][b].empty() && cluster_.server(placement_[b]).alive();
+  return !files_[id][b]->segs.empty() &&
+         cluster_.server(placement_[b]).alive();
 }
 
 std::optional<ConstByteSpan> FileStore::block(FileId id, size_t b) const {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (!block_available_locked(id, b)) return std::nullopt;
-    if (const auto span = contiguous(files_[id][b])) return span;
+    if (const auto span = contiguous(files_[id][b]->segs)) return span;
   }
   // Segments of several owners (an update's window, a rotted segment):
-  // compact them into one allocation. The bytes and checksums stay the
-  // same, so no generation moves, and holders of the old segments keep
-  // theirs.
+  // publish them compacted into one allocation at the same generation (the
+  // bytes are the same); holders of the old version keep theirs.
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (!block_available_locked(id, b)) return std::nullopt;
-  std::vector<Segment>& segs = files_[id][b];
-  if (const auto span = contiguous(segs)) return span;
-  segs = share_segments(join(segs));
-  return contiguous(segs);
+  VersionRef& v = files_[id][b];
+  if (const auto span = contiguous(v->segs)) return span;
+  v = std::make_shared<const BlockVersion>(
+      BlockVersion{v->generation, share_segments(join(v->segs)), v->crcs});
+  return contiguous(v->segs);
 }
 
 bool FileStore::block_available(FileId id, size_t b) const {
@@ -321,7 +328,7 @@ void FileStore::fail_server(size_t server) {
   // before this sweep (and the sweep resets it — lost, consistent) or sees
   // the bumped epoch and aborts. Either order leaves the block lost.
   cluster_.server(server).fail();
-  std::vector<std::vector<Segment>> dropped;
+  std::vector<VersionRef> dropped;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     for (size_t b = 0; b < placement_.size(); ++b)
@@ -329,7 +336,7 @@ void FileStore::fail_server(size_t server) {
         for (FileId id = 0; id < files_.size(); ++id)
           drop_locked(id, b, &dropped);
   }
-  release_dropped(dropped);
+  release_versions(dropped, /*keep_whole_blocks=*/true);
 }
 
 void FileStore::revive_server(size_t server) {
@@ -349,7 +356,7 @@ std::vector<size_t> FileStore::lost_blocks(FileId id) const {
   GALLOPER_CHECK(id < files_.size());
   std::vector<size_t> out;
   for (size_t b = 0; b < code_.num_blocks(); ++b)
-    if (files_[id][b].empty()) out.push_back(b);
+    if (files_[id][b]->segs.empty()) out.push_back(b);
   return out;
 }
 
@@ -361,20 +368,20 @@ bool FileStore::all_recoverable() const {
 }
 
 std::optional<Buffer> FileStore::read(FileId id) const {
-  std::map<size_t, std::vector<Segment>> stored;
+  std::map<size_t, VersionRef> stored;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     GALLOPER_CHECK(id < files_.size());
     for (size_t b : available_blocks_locked(id)) stored[b] = files_[id][b];
   }
-  // The segments are immutable: decode them unlocked, joining the blocks
+  // The versions are immutable: decode them unlocked, joining the blocks
   // an update or a rot split across owners.
   std::vector<Buffer> joined;
   joined.reserve(stored.size());
   std::map<size_t, ConstByteSpan> view;
-  for (const auto& [b, segs] : stored) {
-    std::optional<ConstByteSpan> span = contiguous(segs);
-    if (!span) span = ConstByteSpan(joined.emplace_back(join(segs)));
+  for (const auto& [b, v] : stored) {
+    std::optional<ConstByteSpan> span = contiguous(v->segs);
+    if (!span) span = ConstByteSpan(joined.emplace_back(join(v->segs)));
     view.emplace(b, *span);
   }
   return code_.decode(view);
@@ -442,11 +449,11 @@ std::vector<size_t> FileStore::update_range(FileId id, size_t offset,
   std::lock_guard<std::mutex> serial(*file_mu);
   constexpr size_t kMaxUpdateAttempts = 8;
   for (size_t attempt = 0; attempt < kMaxUpdateAttempts; ++attempt) {
-    // Phase 1: under the shared lock, take each window's stored segments
-    // and checksums and capture what the install re-checks; then, unlocked,
-    // copy each window (the copy-on-write) and CRC-check the copy segment
-    // by segment, so the check covers exactly the bytes the deltas patch.
-    // files_ is untouched, so a throw leaves the store as it was.
+    // Phase 1: under the shared lock, take each window block's version and
+    // capture what the install re-checks; then, unlocked, copy each window
+    // (the copy-on-write) and CRC-check the copy segment by segment, so
+    // the check covers exactly the bytes the deltas patch. files_ is
+    // untouched, so a throw leaves the store as it was.
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
       for (size_t b = 0; b < code_.num_blocks(); ++b)
@@ -454,15 +461,9 @@ std::vector<size_t> FileStore::update_range(FileId id, size_t offset,
                            "in-place update on a degraded stripe: repair block "
                                << b << " first");
       for (auto& [b, w] : windows) {
-        w.generation = block_gens_[id][b];
+        w.stored = files_[id][b];
         w.server = placement_[b];
         w.epoch = cluster_.server(w.server).epoch();
-        w.stored.segs.clear();
-        w.stored.crcs.clear();
-        for (size_t g : w.segs) {
-          w.stored.segs.push_back(files_[id][b][g]);
-          w.stored.crcs.push_back(checksums_[id][b][g]);
-        }
       }
     }
     std::optional<std::pair<size_t, size_t>> bad;  // (block, segment)
@@ -471,11 +472,12 @@ std::vector<size_t> FileStore::update_range(FileId id, size_t offset,
       w.bytes = Buffer((w.segs.size() - 1) * kSegmentBytes +
                        segment_size(bbytes, w.segs.back()));
       for (size_t j = 0; j < w.segs.size() && !bad; ++j) {
-        const Segment& src = w.stored.segs[j];
+        const Segment& src = w.stored->segs[w.segs[j]];
         uint8_t* dst = w.bytes.data() + j * kSegmentBytes;
         std::copy_n(src.data(), src.size(), dst);
         checked += src.size();
-        if (crc32c(ConstByteSpan(dst, src.size())) != w.stored.crcs[j])
+        if (crc32c(ConstByteSpan(dst, src.size())) !=
+            w.stored->crcs[w.segs[j]])
           bad.emplace(b, w.segs[j]);
       }
       if (bad) break;
@@ -487,9 +489,10 @@ std::vector<size_t> FileStore::update_range(FileId id, size_t offset,
     // "valid" state no scrub could ever catch. Quarantine and refuse
     // instead — the caller repairs, then retries.
     if (bad) {
-      quarantine_if_corrupt(id, bad->first, bad->second);
+      const auto [b, g] = *bad;
+      quarantine_if_corrupt(id, b, g, windows.at(b).stored->segs[g]);
       GALLOPER_CHECK_MSG(false, "update found block "
-                                    << bad->first
+                                    << b
                                     << " silently corrupt (quarantined): "
                                        "repair before updating");
     }
@@ -529,22 +532,24 @@ std::vector<size_t> FileStore::update_range(FileId id, size_t offset,
       const bool stale =
           std::any_of(touched.begin(), touched.end(), [&](size_t b) {
             const UpdateWindow& w = windows.at(b);
-            return block_gens_[id][b] != w.generation ||
+            return files_[id][b]->generation != w.stored->generation ||
                    placement_[b] != w.server ||
                    cluster_.server(w.server).epoch() != w.epoch;
           });
       if (stale) continue;
       for (size_t b : touched) {
         UpdateWindow& w = windows.at(b);
-        // Bump-then-install under one exclusive hold: any cache entry
-        // holding the pre-update bytes is stale the instant the new content
-        // is visible. The install swaps segments and checksums; no bytes
-        // move.
-        bump_generation_locked(id, b);
+        // The CURRENT version (rot outside the window stays) with the
+        // window's segments and checksums swapped in, no bytes moved; the
+        // bump makes any cached pre-update bytes stale as it publishes.
+        BlockVersion next = *files_[id][b];
         for (size_t j = 0; j < w.segs.size(); ++j) {
-          std::swap(files_[id][b][w.segs[j]], w.installed[j]);
-          checksums_[id][b][w.segs[j]] = w.crcs[j];
+          next.segs[w.segs[j]] = w.installed[j];
+          next.crcs[w.segs[j]] = w.crcs[j];
         }
+        const VersionRef old = bump_generation_locked(id, b, std::move(next));
+        for (size_t j = 0; j < w.segs.size(); ++j)
+          w.installed[j] = old->segs[w.segs[j]];
       }
     }
     // The replaced segments' memory goes back even while the rest of the
@@ -564,62 +569,60 @@ void FileStore::corrupt_block(FileId id, size_t block, size_t offset) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   GALLOPER_CHECK(id < files_.size());
   GALLOPER_CHECK(block < code_.num_blocks());
-  GALLOPER_CHECK_MSG(!files_[id][block].empty(),
-                     "cannot corrupt a lost block");
+  VersionRef& v = files_[id][block];
+  GALLOPER_CHECK_MSG(!v->segs.empty(), "cannot corrupt a lost block");
   GALLOPER_CHECK(offset < file_block_bytes_[id]);
-  // Copy-on-write: the rotted segment replaces the stored one, and a
-  // reader or cache entry holding the old one keeps the verified bytes,
-  // the way a client's copy survives disk rot.
-  Segment& seg = files_[id][block][offset / kSegmentBytes];
+  // Copy-on-write at the same generation: the rotted segment replaces the
+  // stored one, and a reader or cache entry holding the old one keeps the
+  // verified bytes, the way a client's copy survives disk rot.
+  BlockVersion next = *v;
+  Segment& seg = next.segs[offset / kSegmentBytes];
   Buffer rotted(seg.size());
   std::copy_n(seg.data(), seg.size(), rotted.data());
   rotted[offset % kSegmentBytes] ^= 0x01;
   seg = share_pieces(std::move(rotted), kSegmentBytes)[0];
+  v = std::make_shared<const BlockVersion>(std::move(next));
 }
 
 std::vector<FileStore::CorruptBlock> FileStore::scrub(bool quarantine) {
   // CRC every stored block on the CPU pool: the jobs are independent
-  // (disjoint reads, one flag byte each), and a full-store scrub is pure
+  // (disjoint reads, one result each), and a full-store scrub is pure
   // checksum bandwidth — the one store operation that scales with TOTAL
   // stored bytes, not one stripe, so it wants every core, not the (narrow,
   // blocking-sized) I/O pool. Keeping it off AsyncIo also keeps the kFetch
   // latency histogram — which sets the hedge deadline — describing real
-  // block fetches only. The scan takes every block's segments and
-  // checksums under the shared lock and CRCs them unlocked: the segments
-  // are immutable, so the check covers what the store held at the snapshot.
-  std::vector<std::pair<CorruptBlock, BlockRefs>> jobs;
+  // block fetches only. The scan CRCs, unlocked, the immutable versions it
+  // took under the shared lock.
+  std::vector<std::pair<CorruptBlock, VersionRef>> jobs;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     for (FileId id = 0; id < files_.size(); ++id)
       for (size_t b = 0; b < code_.num_blocks(); ++b)
-        if (!files_[id][b].empty())
-          jobs.push_back({{id, b}, {files_[id][b], checksums_[id][b]}});
+        if (!files_[id][b]->segs.empty())
+          jobs.push_back({{id, b}, files_[id][b]});
   }
-  std::vector<uint8_t> bad(jobs.size(), 0);
+  std::vector<std::optional<size_t>> bad(jobs.size());
   rt::parallel_for(rt::ThreadPool::global(), jobs.size(),
-                   rt::ThreadPool::default_threads(), [&](size_t j) {
-                     if (jobs[j].second.first_bad()) bad[j] = 1;
-                   });
+                   rt::ThreadPool::default_threads(),
+                   [&](size_t j) { bad[j] = first_bad(*jobs[j].second); });
 
-  // Re-verify each hit under the exclusive lock before quarantining: a
-  // concurrent reader may have quarantined-and-healed the block since the
-  // scan, and resetting the healed copy would turn a repaired block back
-  // into an erasure. Serial callers see the identical report.
+  // Re-check each hit under the exclusive lock: report and quarantine it
+  // only if the block still holds the segment that failed. A concurrent
+  // reader may have quarantined-and-healed the block since the scan, and
+  // resetting the healed copy would turn a repaired block back into an
+  // erasure. Serial callers see the identical report.
   std::vector<CorruptBlock> corrupt;
-  std::vector<std::vector<Segment>> dropped;
+  std::vector<VersionRef> dropped;
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (size_t j = 0; j < jobs.size(); ++j) {
-    if (!bad[j]) continue;
-    const CorruptBlock& c = jobs[j].first;
-    if (files_[c.file][c.block].empty()) continue;
-    if (!BlockRefs{files_[c.file][c.block], checksums_[c.file][c.block]}
-             .first_bad())
+    const auto& [c, v] = jobs[j];
+    if (!bad[j] || !holds_locked(c.file, c.block, *bad[j], v->segs[*bad[j]]))
       continue;
     corrupt.push_back(c);
     if (quarantine) drop_locked(c.file, c.block, &dropped);
   }
   lock.unlock();
-  release_dropped(dropped);
+  release_versions(dropped, /*keep_whole_blocks=*/true);
   return corrupt;
 }
 
@@ -693,17 +696,22 @@ std::optional<double> FileStore::draw_fetch() {
   return stall_s;
 }
 
-bool FileStore::quarantine_if_corrupt(FileId id, size_t b, size_t seg) {
-  std::vector<std::vector<Segment>> dropped;
+bool FileStore::holds_locked(FileId id, size_t b, size_t g,
+                             const Segment& seg) const {
+  const std::vector<Segment>& segs = files_[id][b]->segs;
+  return !segs.empty() && segs[g].data() == seg.data();
+}
+
+bool FileStore::quarantine_if_corrupt(FileId id, size_t b, size_t g,
+                                      const Segment& seg) {
+  std::vector<VersionRef> dropped;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    const std::vector<Segment>& blk = files_[id][b];
-    if (blk.empty() || crc32c(*blk[seg]) == checksums_[id][b][seg])
-      return false;
+    if (!holds_locked(id, b, g, seg)) return false;
     counters_.crc_failures.fetch_add(1, std::memory_order_relaxed);
     drop_locked(id, b, &dropped);
   }
-  release_dropped(dropped);
+  release_versions(dropped, /*keep_whole_blocks=*/true);
   return true;
 }
 
@@ -718,40 +726,21 @@ void FileStore::self_heal(FileId id, size_t b) {
 }
 
 FileStore::SegmentFetch FileStore::fetch_segments(
-    FileId id, size_t b, const std::vector<size_t>& segs) const {
-  SegmentFetch out;
-  std::vector<uint32_t> crcs;
-  out.segments.reserve(segs.size());
-  crcs.reserve(segs.size());
+    FileId id, size_t b, const BlockVersion& v,
+    const std::vector<size_t>& segs) const {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    if (!block_available_locked(id, b)) return out;  // kGone
-    for (size_t g : segs) {
-      out.segments.push_back(files_[id][b][g]);
-      crcs.push_back(checksums_[id][b][g]);
-    }
-    out.generation = block_gens_[id][b];
+    if (!block_available_locked(id, b)) return {};  // kGone
   }
-  // The CRC runs unlocked over exactly the segments handed out: they are
-  // immutable, so the check covers the bytes delivered.
-  out.status = FetchStatus::kOk;
-  size_t checked = 0;
-  for (size_t j = 0; j < segs.size(); ++j) {
-    checked += out.segments[j].size();
-    if (crc32c(*out.segments[j]) != crcs[j]) {
-      out.segments.clear();
-      out.status = FetchStatus::kCorrupt;
-      out.bad_segment = segs[j];
-      break;
-    }
-  }
-  counters_.verified_bytes.fetch_add(checked, std::memory_order_relaxed);
-  return out;
+  // The CRC runs unlocked over the snapshot's segments, the ones the
+  // caller decodes from.
+  const auto bad = first_bad(v, segs, &counters_.verified_bytes);
+  if (bad) return {FetchStatus::kCorrupt, *bad};
+  return {FetchStatus::kOk};
 }
 
 // First-wins landing slot for one block's fetch: a primary fetch and its
-// hedged re-fetch run the same body, the first to finish publishes `got`,
-// and the loser's copies die with the loser.
+// hedged re-fetch run the same body; the first to finish publishes `got`.
 struct FileStore::FetchLanding {
   std::mutex mu;
   bool filled = false;
@@ -773,7 +762,7 @@ FileStore::ReadSession FileStore::begin_verified_read(FileId id) {
   std::shared_lock<std::shared_mutex> lock(mu_);
   GALLOPER_CHECK(id < files_.size());
   session.available = available_blocks_locked(id);
-  session.generations = block_gens_[id];
+  session.versions = files_[id];
   session.block_bytes = file_block_bytes_[id];
   return session;
 }
@@ -801,9 +790,8 @@ FileStore::RangeRead FileStore::open_read(FileId id, size_t offset,
   auto plan = code_.engine().plan_decode_fast(r.session_.available);
   if (!rows_solvable(*plan, chunk, offset, offset + length)) return r;
 
-  // Stage what the cache holds at the snapshot generations: a mutation
-  // since bumps a generation, so a hit is a segment that was current when
-  // this read began — the guarantee any read has.
+  // Stage what the cache holds at the snapshot generations: a hit holds
+  // the bytes of the snapshot's version, as every fetch below does.
   r.plan_ = std::move(plan);
   r.staged_ = StagedSegments(code_.num_blocks(), bbytes);
   client::BlockCache* cache = cache_enabled();
@@ -813,7 +801,7 @@ FileStore::RangeRead FileStore::open_read(FileId id, size_t offset,
     const size_t b = r.plan_->source_blocks()[slot];
     for (size_t g : need[slot]) {
       Segment hit = cache ? cache->get(cache_uid_, id, b, g,
-                                       r.session_.generations[b])
+                                       r.session_.versions[b]->generation)
                           : nullptr;
       if (hit == nullptr) {
         r.needs_fetch_ = true;
@@ -829,6 +817,10 @@ std::optional<Buffer> FileStore::finish_read(RangeRead& r,
                                              size_t batch_chunks,
                                              size_t depth) {
   GALLOPER_CHECK(batch_chunks >= 1 && depth >= 1);
+  struct Release {  // the snapshot, once the staged segments are gone
+    RangeRead& r;
+    ~Release() { r.staged_ = {0, 0}; release_versions(r.session_.versions); }
+  } release{r};
   if (r.length_ == 0) return Buffer();
   if (r.plan_ == nullptr) return std::nullopt;
   const FileId id = r.id_;
@@ -873,10 +865,11 @@ std::optional<Buffer> FileStore::finish_read(RangeRead& r,
   };
   // The body a slot's primary fetch and its hedged re-fetch share.
   const auto fetch_body = [&](Batch& f, size_t s) {
-    return [this, id, b = plan->source_blocks()[s], segs = f.segs[s],
+    const size_t b = plan->source_blocks()[s];
+    return [this, id, b, v = r.session_.versions[b].get(), segs = f.segs[s],
             l = f.landing[s].get()] {
       if (injector_) injector_->crash_point("store.fetch");
-      SegmentFetch got = fetch_segments(id, b, segs);
+      SegmentFetch got = fetch_segments(id, b, *v, segs);
       const bool ok = got.status == FetchStatus::kOk;
       std::lock_guard<std::mutex> lock(l->mu);
       if (!l->filled) {
@@ -922,8 +915,8 @@ std::optional<Buffer> FileStore::finish_read(RangeRead& r,
     return f;
   };
 
-  // Landing a joined batch: verified segments are staged (and cached at
-  // the generation they were verified under); a gone or corrupt block is
+  // Landing a joined batch: the snapshot's verified segments are staged
+  // (and cached at the snapshot generation); a gone or corrupt block is
   // dropped from the read, and a corrupt one quarantined so no later
   // caller trusts it either. Nothing unverified is ever staged or cached.
   const auto land = [&](Batch& f) {
@@ -931,19 +924,19 @@ std::optional<Buffer> FileStore::finish_read(RangeRead& r,
       const std::unique_ptr<FetchLanding> l = std::move(f.landing[s]);
       if (l == nullptr || !l->filled) continue;  // none, or cancelled
       const size_t b = plan->source_blocks()[s];
+      const BlockVersion& v = *r.session_.versions[b];
       const SegmentFetch& got = l->got;
       if (got.status == FetchStatus::kOk) {
-        for (size_t j = 0; j < f.segs[s].size(); ++j) {
-          if (cache)
-            cache->put(cache_uid_, id, b, f.segs[s][j], got.generation,
-                       got.segments[j]);
-          staged.put(b, f.segs[s][j], got.segments[j]);
+        for (size_t g : f.segs[s]) {
+          if (cache) cache->put(cache_uid_, id, b, g, v.generation, v.segs[g]);
+          staged.put(b, g, v.segs[g]);
         }
         continue;
       }
       replan = dropped[b] = true;
+      const size_t g = got.bad_segment;
       if (got.status == FetchStatus::kCorrupt &&
-          quarantine_if_corrupt(id, b, got.bad_segment))
+          quarantine_if_corrupt(id, b, g, v.segs[g]))
         corrupt.push_back(b);
     }
   };
@@ -990,9 +983,10 @@ std::optional<Buffer> FileStore::finish_read(RangeRead& r,
       }
     }
     // Replan: settle the window (keeping whatever verified), then plan
-    // over the blocks still available to this read and restart from the
-    // first batch not yet decoded. Each replan drops at least one block,
-    // so a read replans fewer than n times.
+    // over the snapshot's blocks this read has not dropped and restart
+    // from the first batch not yet decoded. Each replan drops at least one
+    // block, so a read replans fewer than n times, and every byte still
+    // comes from the snapshot.
     for (Batch& f : window) {
       f.fetches->cancel_and_join();
       f.fetches->rethrow_any_failure();
@@ -1001,7 +995,7 @@ std::optional<Buffer> FileStore::finish_read(RangeRead& r,
     window.clear();
     r.replanned_ = pinned = true;
     replan = false;
-    std::vector<size_t> available = begin_verified_read(id).available;
+    std::vector<size_t> available = r.session_.available;
     std::erase_if(available, [&](size_t b) { return dropped[b]; });
     plan = code_.engine().plan_decode_fast(available);
     if (!rows_solvable(*plan, chunk, spans[done].first, hi)) {
@@ -1042,7 +1036,7 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     GALLOPER_CHECK(id < files_.size());
-    if (!files_[id][block_id].empty()) return std::vector<size_t>{};
+    if (!files_[id][block_id]->segs.empty()) return std::vector<size_t>{};
   }
 
   // Transient helper-read faults (injected) are retried with a fresh
@@ -1056,16 +1050,16 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
   constexpr size_t kMaxIncarnationRetries = 8;
   size_t incarnation_retries = 0;
   for (size_t attempt = 0; attempt < kRepairReadAttempts; ++attempt) {
-    // Helper selection takes the helpers' segments and checksums under the
-    // SHARED lock; the CRC scan of every helper segment then runs unlocked
-    // over those immutable segments, which are exactly the bytes the
-    // rebuild reads. A mismatch is re-verified and quarantined under the
-    // exclusive lock like any other corrupt block (a later pass rebuilds
-    // it) and the selection rolls again without it — a silently rotted
-    // helper must never launder its corruption into a freshly-checksummed
-    // "repaired" block.
+    // Helper selection takes the helpers' versions under the SHARED lock;
+    // the CRC scan of every helper segment then runs unlocked over those
+    // immutable versions, which are exactly the bytes the rebuild reads. A
+    // mismatch is quarantined, if the helper still holds that segment,
+    // like any other corrupt block (a later pass rebuilds it) and the
+    // selection rolls again without it — a silently rotted helper must
+    // never launder its corruption into a freshly-checksummed "repaired"
+    // block.
     std::vector<size_t> helpers;
-    std::map<size_t, BlockRefs> stored;  // helper (and drafted spare) → refs
+    std::map<size_t, VersionRef> stored;  // helper (and drafted spare)
     size_t bbytes = 0;
     bool already_repaired = false;
     // The attempt's view of the TARGET: which server hosts the slot, and
@@ -1085,9 +1079,9 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
       bbytes = file_block_bytes_[id];
       target_server = placement_[block_id];
       target_epoch = cluster_.server(target_server).epoch();
-      target_gen = block_gens_[id][block_id];
+      target_gen = files_[id][block_id]->generation;
       if ((target_epoch & 1) != 0) return std::nullopt;  // died since entry
-      if (!files_[id][block_id].empty()) {
+      if (!files_[id][block_id]->segs.empty()) {
         already_repaired = true;  // a concurrent reader healed it first
       } else {
         // Preferred (local) helpers first; generic fallback to all
@@ -1097,17 +1091,17 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
         for (size_t h : helpers)
           helpers_ok &= block_available_locked(id, h);
         if (!helpers_ok) helpers = available_blocks_locked(id);
-        for (size_t h : helpers)
-          stored[h] = {files_[id][h], checksums_[id][h]};
+        for (size_t h : helpers) stored[h] = files_[id][h];
       }
     }
     if (already_repaired) return std::vector<size_t>{};
     std::vector<std::pair<size_t, size_t>> bad;  // (helper, first bad segment)
     for (size_t h : helpers)
-      if (const auto g = stored[h].first_bad(&counters_.repair_verified_bytes))
+      if (auto g = first_bad(*stored[h], &counters_.repair_verified_bytes))
         bad.emplace_back(h, *g);
     if (!bad.empty()) {
-      for (const auto& [h, g] : bad) quarantine_if_corrupt(id, h, g);
+      for (const auto& [h, g] : bad)
+        quarantine_if_corrupt(id, h, g, stored[h]->segs[g]);
       --attempt;  // reselection, not a transient retry
       continue;
     }
@@ -1175,12 +1169,12 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
             std::shared_lock<std::shared_mutex> lock(mu_);
             for (size_t s : available_blocks_locked(id)) {
               if (s == block_id || stored.contains(s)) continue;
-              stored[s] = {files_[id][s], checksums_[id][s]};
+              stored[s] = files_[id][s];
               spares.push_back(s);
             }
           }
           for (size_t s : spares) {
-            if (stored[s].first_bad(&counters_.repair_verified_bytes)) {
+            if (first_bad(*stored[s], &counters_.repair_verified_bytes)) {
               stored.erase(s);
               continue;
             }
@@ -1209,11 +1203,11 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
     // plan's rows are the block's stripe positions in order, so the staged
     // decode writes the block front to back, splitting rows at segment
     // ends as reads do. A helper quarantined or lost since the scan does
-    // not matter: its segments stay alive, and verified, in `stored`.
+    // not matter: its version stays alive, and verified, in `stored`.
     if (!use_plan->fully_solvable()) return std::nullopt;
     StagedSegments staged(code_.num_blocks(), bbytes);
     for (size_t h : use_helpers) {
-      const std::vector<Segment>& segs = stored.at(h).segs;
+      const std::vector<Segment>& segs = stored.at(h)->segs;
       for (size_t g = 0; g < segs.size(); ++g) staged.put(h, g, segs[g]);
     }
     Buffer rebuilt(bbytes);
@@ -1241,8 +1235,9 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
       // under this lock any kill (or kill/revive cycle, or reassign_block
       // cutover) that raced this attempt is visible here.
       const uint64_t now_epoch = cluster_.server(target_server).epoch();
-      const bool reinstalled = files_[id][block_id].empty() &&
-                               block_gens_[id][block_id] != target_gen;
+      const BlockVersion& target = *files_[id][block_id];
+      const bool reinstalled =
+          target.segs.empty() && target.generation != target_gen;
       if (placement_[block_id] != target_server || now_epoch != target_epoch ||
           reinstalled) {
         if (placement_[block_id] == target_server && (now_epoch & 1) != 0)
@@ -1259,11 +1254,11 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
         continue;
       }
       // A concurrent repair may have won the race; its bytes are as good
-      // as ours (both CRC-verified rebuilds of the same block).
-      if (files_[id][block_id].empty()) {
-        bump_generation_locked(id, block_id);
-        files_[id][block_id] = std::move(segs);
-      }
+      // as ours (both CRC-verified rebuilds of the same block). The rebuilt
+      // version keeps the lost one's write-time checksums.
+      if (target.segs.empty())
+        bump_generation_locked(id, block_id,
+                               {0, std::move(segs), target.crcs});
     }
     return use_helpers;
   }

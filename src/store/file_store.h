@@ -12,40 +12,41 @@
 // slots between servers with reassign_block, so every data path below
 // runs unchanged against a real multi-node layout.
 //
-// Storage: every block is an array of immutable, refcounted 64 KiB
-// segments (store/segments.h), each with the CRC-32C recorded when its
-// bytes were written. A verified fetch hands out the stored segments
-// themselves, the block cache keeps those same segments, and a mutation
-// never writes into a segment: write, update and repair publish segments
-// their own buffers own, and an update or repair install swaps segment
-// references and checksums, with no bytes copied under the lock.
+// Storage: every block is one immutable, refcounted VERSION (BlockVersion
+// below): its 64 KiB segments (store/segments.h), their write-time
+// CRC-32Cs and its generation. Every mutation — write, update, repair, a
+// drop, corrupt_block, block()'s compaction — publishes a new version and
+// writes into none; installs reuse the segments they keep, so no bytes are
+// copied under the lock. The block cache keeps the stored segments.
 //
 // Verification: reads are range-proportional: one read core plans its
 // decode first, then fetches through fetch_segments — the one verified
-// fetch primitive — exactly the segments the plan's sources read, and
-// decodes from those verified segments. Every fetch CRCs what it hands
-// out; a segment is immutable, so the check still covers the bytes a
-// decode reads. A corrupt segment is quarantined with its whole block and
-// the read replans around it. Corruption outside a read's sources is,
-// deliberately, not that read's business: scrub() (or a later read that
-// covers it) finds it. Updates are range-proportional the same way:
-// update_range verifies, copies and re-checksums only the segments
-// covering the stripes its deltas write. Scrub and repair check every
-// segment of every block they touch.
+// fetch primitive — exactly the segments the plan's sources read, CRCs
+// them and decodes from those same immutable segments. A corrupt segment
+// is quarantined with its whole block and the read replans around it.
+// Corruption outside a read's sources is, deliberately, not that read's
+// business: scrub() (or a later read that covers it) finds it. Updates
+// are range-proportional the same way: update_range verifies, copies and
+// re-checksums only the segments covering the stripes its deltas write.
+// Scrub and repair check every segment of every block they touch.
+//
+// The read guarantee: every read, of any length, batch count or number of
+// replans, returns the file as it was at its open_read. The open step takes
+// every block's version under one shared-lock hold, and all the bytes the
+// read stages, fetches or decodes come from those versions.
 //
 // Thread safety: the data paths (write/read/read_range/update_range/repair/
 // scrub and the client-session API) may run concurrently from many client
-// threads. Block state lives under one reader/writer lock. Fetches, scrub,
-// repair's helper selection and an update's verify take it shared, and
-// only long enough to take segment references, checksums and generations;
-// the CRCs, copies and decodes run unlocked over those immutable segments.
-// Quarantine, an update's install and a repair's install take it
-// exclusive, and swap references. The lock is NEVER held while blocked in
-// a FetchSet await, so a parked probe cannot wedge a writer. Updates to one file serialize on that file's update
-// mutex, which the store owns (callers need no lock of their own), and an
-// update's install re-checks the generation, placement and server epoch it
-// captured for every block it writes, retrying on any change — the
-// pattern repair() uses below. The pinned repair-plan map has
+// threads. The version pointers live under one reader/writer lock: each
+// path takes the versions it needs under one shared hold and then CRCs,
+// copies and decodes unlocked; each mutation publishes under the exclusive
+// lock, where re-checks compare generations or segment identity and no
+// CRC runs. The lock is NEVER held while blocked in a FetchSet await, so
+// a parked probe cannot wedge a writer. Updates to one file serialize on
+// that file's update mutex, which the store owns (callers need no lock of
+// their own), and an update's install re-checks the generation, placement
+// and server epoch it captured for every block it writes, retrying on any
+// change — the pattern repair() uses below. The pinned repair-plan map has
 // its own mutex, and the read counters are atomics snapshotted by value.
 // fail_server/revive_server may race in-flight operations: server liveness
 // is a monotonic atomic EPOCH (even = alive, odd = dead; every transition
@@ -86,6 +87,16 @@ class AsyncIo;
 namespace galloper::store {
 
 using FileId = size_t;
+
+// One version of a stored block, published whole and never modified. A
+// lost block is a version with no segments that keeps the checksums (its
+// repair rebuilds against them) and carries the bumped generation.
+struct BlockVersion {
+  uint64_t generation = 0;
+  std::vector<Segment> segs;   // empty: lost
+  std::vector<uint32_t> crcs;  // per segment, taken when it was written
+};
+using VersionRef = std::shared_ptr<const BlockVersion>;
 
 class FileStore {
  public:
@@ -129,23 +140,21 @@ class FileStore {
   //
   // The store participates in client::BlockCache (default: the process-wide
   // instance) through three invariants:
-  //  - every block carries a GENERATION, bumped under the exclusive lock by
-  //    every mutation or quarantine (update install, repair install, CRC
-  //    quarantine, fail_server) — and each bump also drops the cache entry;
+  //  - every version carries a GENERATION, bumped by every mutation or
+  //    quarantine (update install, repair install, CRC quarantine,
+  //    fail_server) — and each bump also drops the cache entry;
   //  - entries are verified SEGMENTS, the store's own: the read core fills
-  //    the cache from fetch_segments, which takes the segments and the
-  //    generation under ONE shared-lock hold and then CRCs those immutable
-  //    segments, so an entry is keyed by a generation that was provably
-  //    current when its bytes were stored, and aliases store memory rather
-  //    than copying it;
+  //    the cache with a snapshot version's segments that fetch_segments
+  //    CRC-checked, keyed by that version's generation — bytes and
+  //    generation taken from one version — aliasing store memory;
   //  - the read core's open step stages every source segment of its plan
-  //    that the cache holds at the generations it snapshotted, and a read
+  //    that the cache holds at its snapshot's generations, and a read
   //    whose sources are all staged there is served with no fetch, no fault
   //    draw and no I/O pool.
   // corrupt_block() deliberately does NOT bump: silent corruption doesn't
-  // change the block's logical content. It replaces the stored segment
-  // with a flipped copy, so a cached entry keeps the verified bytes, which
-  // are exactly what a verified read would reconstruct.
+  // change the block's logical content. It publishes a version with a
+  // flipped copy of one segment, so a cached entry keeps the verified
+  // bytes, which are exactly what a verified read would reconstruct.
   //
   // set_block_cache is like set_fault_injector: not synchronized against
   // in-flight operations (attach at setup; null detaches). The attached
@@ -175,7 +184,7 @@ class FileStore {
   // block was lost), for tests and probes; no data path uses it. Block b of
   // every file lives on server_of(b). A block whose segments an update or
   // corrupt_block split across several buffers is first compacted into one
-  // (same bytes and checksums, no generation bump), so repeated calls
+  // (same bytes, checksums and generation), so repeated calls
   // return the same span. The span is only stable while no concurrent
   // operation quarantines or rewrites the block — concurrent callers use
   // the verified reads, which hold the segments they read.
@@ -196,7 +205,7 @@ class FileStore {
   // The reference decode, an oracle and not a data path: the whole file
   // decoded from the available blocks' stored bytes with no checksum
   // check, never quarantining, healing or filling the cache. It holds the
-  // blocks' segments, so it decodes unlocked. Correctness
+  // blocks' versions, so it decodes unlocked. Correctness
   // gates compare it to a mirror because a verifying read would heal what
   // it finds, so a rebuild that installed wrong bytes would pass them.
   // nullopt if the available blocks cannot decode the file.
@@ -243,7 +252,7 @@ class FileStore {
   // Every verified read — read_range (and with it read_original_split),
   // the pipelined client::StripedReader and mr::StoreRunner's map tasks —
   // runs this one plan→fetch→verify→decode loop, in two steps:
-  //  - open_read snapshots the available set and the block generations
+  //  - open_read snapshots the available set and every block's version
   //    (begin_verified_read), plans decode_fast over that set once, and
   //    stages the plan's source segments the block cache holds at the
   //    snapshot generations. It draws no fault and touches no I/O pool;
@@ -256,8 +265,9 @@ class FileStore {
   // A gone (concurrent quarantine or kill), unreadable (injected read
   // faults that kept failing) or corrupt fetch drops its block from the
   // read — a corrupt one is also quarantined — and the read REPLANS in the
-  // same call over the remaining blocks, keeping every segment it already
-  // verified (a DEGRADED read: same bytes, more arithmetic). Blocks the
+  // same call over the snapshot's remaining blocks, keeping every segment
+  // it already verified (a DEGRADED read: same bytes, more arithmetic).
+  // Either way the read returns the file as it was at its open. Blocks the
   // read quarantined are then rebuilt in place via the pinned repair plans,
   // so the next read is clean again.
   //
@@ -270,7 +280,7 @@ class FileStore {
 
   struct ReadSession {
     std::vector<size_t> available;  // sorted block ids the session may read
-    std::vector<uint64_t> generations;  // every block's, at the snapshot
+    std::vector<VersionRef> versions;  // every block's, at the snapshot
     size_t block_bytes = 0;
   };
   // The open step's snapshot, taken under one shared-lock hold.
@@ -303,7 +313,7 @@ class FileStore {
     bool replanned_ = false;
   };
   RangeRead open_read(FileId id, size_t offset, size_t length);
-  // Requires batch_chunks >= 1 and depth >= 1.
+  // Requires batch_chunks >= 1 and depth >= 1. Runs once; frees the snapshot.
   std::optional<Buffer> finish_read(RangeRead& read, size_t batch_chunks,
                                     size_t depth);
 
@@ -312,9 +322,9 @@ class FileStore {
   // stripes the deltas write are touched (CodecEngine::update_stripes):
   // per written block, the update copies and verifies the segments
   // covering them (its WINDOW, counted in ReadStats::update_verified_bytes;
-  // the copy is the copy-on-write), patches the copy, and installs it by
-  // swapping in the copy's segments with fresh checksums for just those
-  // segments. All blocks must be available (an in-place update on a
+  // the copy is the copy-on-write), patches the copy, and installs the
+  // block's current version with the copy's segments and fresh checksums
+  // in their place. All blocks must be available (an in-place update on a
   // degraded stripe is refused with CheckError — repair first). A corrupt
   // segment inside a window is quarantined with its block and the update
   // throws CheckError, because patching it would launder the corruption
@@ -342,7 +352,7 @@ class FileStore {
   // the attempt started, so a kill (or kill/revive cycle, or slot
   // reassignment) that lands between rebuild and install aborts the stale
   // install instead of resurrecting bytes the revive declared lost. The
-  // helpers' segments are taken under the shared lock and CRC-checked
+  // helpers' versions are taken under the shared lock and CRC-checked
   // unlocked; the rebuild decodes the pinned plan straight from them
   // (decode_staged) into a new buffer that owns the block's segments.
   // `io` routes the helper gather through a specific async pool (a data
@@ -378,11 +388,12 @@ class FileStore {
   // Recomputes every stored segment's CRC-32C against the checksum
   // recorded at write time. Blocks with a mismatching segment are reported
   // and (when `quarantine`) dropped, so a subsequent RecoveryManager pass
-  // rebuilds them. The CRC pass takes every block's segments under the
-  // shared lock and checks them on the compute pool; quarantining then
-  // re-verifies each hit under the exclusive lock — a block a concurrent
-  // reader healed in the window is left alone — so the serial report is
-  // unchanged and the concurrent one never drops a good block.
+  // rebuilds them. The CRC pass takes every block's version under the
+  // shared lock and checks it on the compute pool; each hit is then
+  // reported only if the block still holds the failing segment (checked
+  // under the exclusive lock — a block a concurrent reader healed in the
+  // window is left alone), so the serial report is unchanged and the
+  // concurrent one never drops a good block.
   std::vector<CorruptBlock> scrub(bool quarantine = true);
 
   struct ScrubReport {
@@ -411,20 +422,22 @@ class FileStore {
   std::shared_ptr<const codes::CodecPlan> pinned_repair_plan(
       size_t block_id, const std::vector<size_t>& sorted_helpers,
       const std::vector<size_t>& helpers);
-  // Bumps block (id, b)'s generation and drops its cache entries. Caller
+  // Publishes `next` as block (id, b)'s version one generation on, drops
+  // the block's cache entries and returns the version it replaced. Caller
   // holds mu_ EXCLUSIVE (the bump must be ordered with the mutation it
   // describes).
-  void bump_generation_locked(FileId id, size_t b);
-  // Loses resident block (id, b): bumps its generation and moves its
-  // segments to *dropped, which the caller releases after the lock
-  // (release_dropped in file_store.cc). Caller holds mu_ EXCLUSIVE.
-  void drop_locked(FileId id, size_t b,
-                   std::vector<std::vector<Segment>>* dropped);
-  // Re-checks segment `seg` of (id, b) under the exclusive lock and, if it
-  // still mismatches, quarantines the block and counts a CRC failure (a
-  // concurrent reader may have healed it since the fetch — a good block is
-  // left alone). True if this call quarantined.
-  bool quarantine_if_corrupt(FileId id, size_t b, size_t seg);
+  VersionRef bump_generation_locked(FileId id, size_t b, BlockVersion next);
+  // Loses resident block (id, b): publishes a segment-less version and
+  // moves the old one to *dropped, which the caller releases after the
+  // lock (release_versions in file_store.cc). Caller holds mu_ EXCLUSIVE.
+  void drop_locked(FileId id, size_t b, std::vector<VersionRef>* dropped);
+  // Whether block (id, b) still holds `seg` as its segment g (the caller
+  // holds `seg`, so its address cannot have been reused).
+  bool holds_locked(FileId id, size_t b, size_t g, const Segment& seg) const;
+  // If so, quarantines the block, counts a CRC failure and returns true (a
+  // concurrent reader may have healed it since `seg` failed its CRC).
+  bool quarantine_if_corrupt(FileId id, size_t b, size_t g,
+                             const Segment& seg);
   // Rebuilds a block a read quarantined (nothing if its server is dead).
   void self_heal(FileId id, size_t b);
 
@@ -433,18 +446,15 @@ class FileStore {
   enum class FetchStatus { kOk, kGone, kCorrupt };
   struct SegmentFetch {
     FetchStatus status = FetchStatus::kGone;
-    uint64_t generation = 0;        // block generation the segments are of
-    std::vector<Segment> segments;  // kOk: the requested stored segments
-    size_t bad_segment = 0;         // kCorrupt: the first mismatching segment
+    size_t bad_segment = 0;  // kCorrupt: the first mismatching segment
   };
-  // Takes block b's segments `segs` (sorted ids), their checksums and the
-  // block's generation under one shared-lock hold, then, unlocked,
-  // CRC-checks each segment and hands out the stored segments themselves,
-  // no copy. kGone when the block is lost or its server is dead; kCorrupt
-  // (no segments) when a segment fails its checksum — the caller
-  // quarantines. Counts the checked bytes in ReadStats::verified_bytes.
-  // Every read path fetches through this.
-  SegmentFetch fetch_segments(FileId id, size_t b,
+  // Fetches segments `segs` (sorted ids) of block b's snapshot version
+  // `v`: kGone when the block is lost or its server is dead NOW (the one
+  // shared-lock hold, which copies nothing), else, unlocked, CRC-checks
+  // v's segments — kOk, and the caller stages exactly them, or kCorrupt
+  // and the caller quarantines. Counts the checked bytes in
+  // ReadStats::verified_bytes. Every read path fetches through this.
+  SegmentFetch fetch_segments(FileId id, size_t b, const BlockVersion& v,
                               const std::vector<size_t>& segs) const;
   // The fault schedule of ONE block fetch, drawn on the calling thread:
   // the injected stall (seconds, 0 when none), then the transient read
@@ -497,21 +507,16 @@ class FileStore {
   // then locks it with mu_ released, never the other way round.
   std::vector<std::unique_ptr<std::mutex>> update_mu_;
 
-  // Guards files_/checksums_/file_block_bytes_/placement_ (see the
-  // thread-safety note in the class comment).
+  // Guards files_/file_block_bytes_/placement_ (see the thread-safety note
+  // in the class comment).
   alignas(64) mutable std::shared_mutex mu_;
   // placement_[block slot] → server id (identity unless set_placement /
   // reassign_block changed it). Liveness of slot b is its server's.
   alignas(64) std::vector<size_t> placement_;
-  // files_[id][block][segment] — the block's immutable segments, empty
-  // once lost. Mutations replace segments and never write into one.
-  // Mutable for block(), whose compaction keeps the bytes.
-  mutable std::vector<std::vector<std::vector<Segment>>> files_;
-  // checksums_[id][block][segment] — the segment's CRC-32C, taken when its
-  // bytes were written (write, update); repair keeps it.
-  std::vector<std::vector<std::vector<uint32_t>>> checksums_;
-  // Per-block cache generation (see the block-cache section above).
-  std::vector<std::vector<uint64_t>> block_gens_;
+  // files_[id][block] — the block's current version, never null.
+  // Mutations publish a new version and never write into one. Mutable for
+  // block(), whose compaction keeps the bytes.
+  mutable std::vector<std::vector<VersionRef>> files_;
   std::vector<size_t> file_block_bytes_;
 };
 

@@ -1215,5 +1215,151 @@ TEST(ImmutableSegmentTest, StagedRepairMatchesWholeBlockRepairAfterUpdates) {
   }
 }
 
+// A (4,2,2) store with a private block cache and a file whose chunks each
+// span two segments, plus the block chunk 0 is copied from verbatim.
+struct SnapshotFixture {
+  core::GalloperCode code{4, 2, 2};
+  sim::Simulation simulation;
+  sim::Cluster cluster{simulation, code.num_blocks(), sim::ServerSpec{}};
+  client::BlockCache cache{size_t{16} << 20};
+  FileStore fs{cluster, code};
+  const size_t chunk = 2 * kSegmentBytes;
+  Rng rng{97};
+  Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
+  FileId id = 0;
+  size_t home = 0;
+
+  SnapshotFixture() {
+    fs.set_block_cache(&cache);
+    id = fs.write(file);
+    std::vector<size_t> all(code.num_blocks());
+    for (size_t b = 0; b < all.size(); ++b) all[b] = b;
+    const auto plan = code.engine().plan_decode_fast(all);
+    home = plan->source_blocks()[plan->row(0).copy_slot];
+  }
+  bool is_old_chunk0(const std::optional<Buffer>& got) const {
+    return got && got->size() == chunk &&
+           std::equal(got->begin(), got->end(), file.begin());
+  }
+};
+
+// A read whose first segment is staged from the cache and whose second is
+// fetched after an update of the chunk still returns the chunk as it was
+// at its open: the fetch hands out the snapshot's segment, not the
+// update's.
+TEST(SnapshotReadTest, CachedAndFetchedSegmentsComeFromTheOpenSnapshot) {
+  SnapshotFixture t;
+  ASSERT_TRUE(t.fs.read_range(t.id, 0, 4096).has_value());  // caches seg 0
+  FileStore::RangeRead read = t.fs.open_read(t.id, 0, t.chunk);
+  ASSERT_TRUE(read.needs_fetch());
+  t.fs.update_range(t.id, 0, random_buffer(t.chunk, t.rng));
+  const auto got = t.fs.finish_read(read, 1, 1);
+  EXPECT_TRUE(t.is_old_chunk0(got)) << "torn or post-update chunk";
+}
+
+// A read that loses its copy source after an update replans into a
+// degraded decode over the snapshot's other blocks, so it still returns
+// the pre-update chunk.
+TEST(SnapshotReadTest, ReplanAfterAnUpdateDecodesTheOpenSnapshot) {
+  SnapshotFixture t;
+  FileStore::RangeRead read = t.fs.open_read(t.id, 0, t.chunk);
+  t.fs.update_range(t.id, 0, random_buffer(t.chunk, t.rng));
+  t.fs.fail_server(t.fs.server_of(t.home));
+  const auto got = t.fs.finish_read(read, 1, 1);
+  EXPECT_TRUE(read.replanned());
+  EXPECT_TRUE(t.is_old_chunk0(got)) << "replan mixed in post-update bytes";
+}
+
+// Differential check of the read guarantee under load, cache on: readers
+// (one-chunk and multi-chunk read_range, multi-batch open_read +
+// finish_read) race an updater that rewrites the whole file with one
+// constant byte per version and an actor that kills, revives and repairs
+// a block. Every read that returns bytes returns one version, no older
+// than the last installed before it opened and no newer than the last
+// update begun by the time it returned.
+TEST(SnapshotReadTest, ConcurrentReadsReturnOneInstalledVersion) {
+  core::GalloperCode code(4, 2, 2);
+  sim::Simulation simulation;
+  sim::Cluster cluster(simulation, code.num_blocks(), sim::ServerSpec{});
+  client::BlockCache cache(size_t{8} << 20);
+  FileStore fs(cluster, code);
+  fs.set_block_cache(&cache);
+  const size_t chunk = 40000;  // chunks straddle segment edges
+  const size_t nchunks = code.engine().num_chunks();
+  const size_t fbytes = nchunks * chunk;
+  const FileId id = fs.write(Buffer(fbytes, 0));
+  constexpr unsigned kVersions = 80;
+
+  std::atomic<unsigned> begun{0}, installed{0};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> reads{0}, bad{0};
+  // (chunks per read, via open_read + finish_read(read, 1, 2)) per reader.
+  const std::pair<size_t, bool> kinds[] = {{1, false}, {3, false}, {4, true}};
+  std::vector<std::thread> threads;
+  for (size_t r = 0; r < std::size(kinds); ++r) {
+    threads.emplace_back([&, r] {
+      const auto [count, batched] = kinds[r];
+      Rng rng(200 + r);
+      while (!done.load()) {
+        const size_t first = rng.next_below(nchunks - count + 1);
+        const unsigned floor = installed.load();
+        std::optional<Buffer> got;
+        if (batched) {
+          FileStore::RangeRead read =
+              fs.open_read(id, first * chunk, count * chunk);
+          got = fs.finish_read(read, 1, 2);
+        } else {
+          got = fs.read_range(id, first * chunk, count * chunk);
+        }
+        const unsigned ceiling = begun.load();
+        if (!got) continue;
+        const uint8_t v = (*got)[0];
+        if (std::any_of(got->begin(), got->end(),
+                        [v](uint8_t x) { return x != v; }) ||
+            v < floor || v > ceiling)
+          ++bad;
+        ++reads;
+      }
+    });
+  }
+  // One kill/revive/repair cycle per installed version, so the updater,
+  // which needs every block, makes progress at any speed.
+  threads.emplace_back([&] {
+    Rng rng(300);
+    for (unsigned seen = 0; !done.load();) {
+      if (installed.load() == seen) {
+        std::this_thread::yield();
+        continue;
+      }
+      seen = installed.load();
+      const size_t b = rng.next_below(code.num_blocks());
+      fs.fail_server(fs.server_of(b));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      fs.revive_server(fs.server_of(b));
+      fs.repair(id, b);
+    }
+  });
+  for (unsigned v = 1; v <= kVersions; ++v) {
+    begun = v;
+    const Buffer data(fbytes, static_cast<uint8_t>(v));
+    for (;;) {
+      try {
+        fs.update_range(id, 0, data);
+        break;
+      } catch (const CheckError&) {  // a block is down: wait for its repair
+      } catch (const fault::TransientError&) {
+      }
+      std::this_thread::yield();
+    }
+    installed = v;
+  }
+  while (reads.load() < 30) std::this_thread::yield();
+  done = true;
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0u) << "of " << reads.load() << " reads";
+  for (size_t b = 0; b < code.num_blocks(); ++b) fs.repair(id, b);
+  EXPECT_EQ(fs.read(id), Buffer(fbytes, kVersions));
+}
+
 }  // namespace
 }  // namespace galloper::store
